@@ -34,7 +34,11 @@ from .gaussfilt import FILTER_KINDS
 from .kinematics import CT, CV
 from .simkit import MODES, RESOLVED, InitPriorConfig, ScenarioConfig
 
-BASELINE_KEY = "ekf/cv/known-side"
+BASELINE_CELL = ("ekf", "cv", "known-side")
+# BenchmarkRow fields that go to timings.json (with the cell) and not to
+# the byte-reproducible summary.json
+_CELL_FIELDS = ("filter", "case", "mode")
+_WALL_FIELDS = ("mean_wall_s", "rel_exec_time")
 
 
 class ConfigError(ValueError):
@@ -245,54 +249,36 @@ def cmd_montecarlo(
     out_dir.mkdir(parents=True, exist_ok=True)
     key = config_key(cfg)
     outputs: list[str] = []
-    summary_rows: list[dict] = []
-    timing_rows: list[dict] = []
-    wall_by_cell: dict[str, float] = {}
+    rows: list[evalkit.BenchmarkRow] = []
 
     for case in cases:
         for kind in filters:
             cell_cfg = dataclasses.replace(cfg, filter_kind=kind, model_kind=case)
             for mode in modes:
                 sums = simkit.run_monte_carlo(cell_cfg, mode=mode, workers=workers)
-                row = evalkit.benchmark_row(
-                    sums, kind, case, mode, cell_cfg.track_bound_km
+                rows.append(
+                    evalkit.benchmark_row(sums, kind, case, mode, cell_cfg.track_bound_km)
                 )
                 name = f"metrics_{kind}_{case}_{mode}.csv"
                 _write_series_csv(out_dir / name, cell_cfg, sums, key)
                 outputs.append(name)
-                summary_rows.append(
-                    {
-                        "filter": kind,
-                        "case": case,
-                        "mode": mode,
-                        "n_runs": row.n_runs,
-                        "track_loss_pct": row.track_loss_pct,
-                        "terminal_rmse_pos_km": row.terminal_rmse_pos_km,
-                    }
-                )
-                wall_by_cell[f"{kind}/{case}/{mode}"] = row.mean_wall_s
 
-    rel = None
-    if BASELINE_KEY in wall_by_cell:
-        rel = evalkit.relative_execution_time(wall_by_cell, BASELINE_KEY)
-    for cell, wall in wall_by_cell.items():
-        kind, case, mode = cell.split("/")
-        timing_rows.append(
-            {
-                "filter": kind,
-                "case": case,
-                "mode": mode,
-                "mean_wall_s": wall,
-                "rel_exec_time": None if rel is None else rel[cell],
-            }
-        )
+    walls = {r.cell: r.mean_wall_s for r in rows}
+    if BASELINE_CELL in walls:
+        rel = evalkit.relative_execution_time(walls, BASELINE_CELL)
+        for r in rows:
+            r.rel_exec_time = rel[r.cell]
+    dicts = [r.to_dict() for r in rows]
 
-    summary = {"manifest_key": key, "rows": summary_rows}
+    summary = {
+        "manifest_key": key,
+        "rows": [{k: v for k, v in d.items() if k not in _WALL_FIELDS} for d in dicts],
+    }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     timings = {
         "manifest_key": key,
         "note": "wall-clock values; not byte-reproducible",
-        "rows": timing_rows,
+        "rows": [{k: d[k] for k in _CELL_FIELDS + _WALL_FIELDS} for d in dicts],
     }
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     outputs += ["summary.json", "timings.json"]
@@ -467,8 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("track", parents=[common], help="simulate and dump one run")
     sub.add_parser("montecarlo", parents=[common], help="run the benchmark")
-    rep = sub.add_parser("report", parents=[common], help="consolidate metrics")
+    rep = sub.add_parser("report", help="consolidate metrics")
     rep.add_argument("metrics_dir", type=Path, help="directory written by montecarlo")
+    rep.add_argument(
+        "--out", type=Path, default=None,
+        help="report file (default: METRICS_DIR/report.json)",
+    )
 
     return parser
 
@@ -490,7 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            return cmd_report(args.metrics_dir, None)
+            return cmd_report(args.metrics_dir, args.out)
 
         cfg = _load_config(args)
         if args.command == "track":

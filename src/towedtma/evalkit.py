@@ -7,7 +7,7 @@ from the error curves; numerically failed runs count as track losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,8 +73,8 @@ def track_loss_pct(summaries: Sequence, bound: float) -> float:
 
 
 def relative_execution_time(
-    timings: Mapping[str, float], baseline_key: str
-) -> dict[str, float]:
+    timings: Mapping[Hashable, float], baseline_key: Hashable
+) -> dict[Hashable, float]:
     """Each wall time divided by the baseline's wall time."""
     if baseline_key not in timings:
         raise ValueError(f"baseline {baseline_key!r} missing from timings")
@@ -101,6 +101,10 @@ class BenchmarkRow:
     mean_wall_s: float
     terminal_rmse_pos_km: float
     rel_exec_time: float | None = None
+
+    @property
+    def cell(self) -> tuple[str, str, str]:
+        return self.filter_kind, self.case, self.mode
 
     def to_dict(self) -> dict:
         return {

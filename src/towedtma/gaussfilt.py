@@ -22,10 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import kinematics, sensing
-from .kinematics import CT, CV, MotionModel
+from .kinematics import CV, MotionModel
 
 EKF = "ekf"
 UKF = "ukf"
@@ -323,8 +323,10 @@ def shifted_rayleigh_moments(u: float) -> tuple[float, float]:
     if u < -35.0:
         # far tail: the density degenerates to a Gamma(2) with rate |u|
         return -2.0 / u, 6.0 / (u * u)
-    phi = norm.pdf(u)
-    Phi = norm.cdf(u)
+    # the standard normal density and distribution function, as numpy
+    # scalars; bit-identical to scipy.stats.norm, without importing it
+    phi = np.exp(-np.asarray(u) ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+    Phi = ndtr(u)
     den = u * Phi + phi
     rho1 = ((1.0 + u * u) * Phi + u * phi) / den
     rho2 = ((u * u + 2.0) * phi + u * (3.0 + u * u) * Phi) / den

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import gaussfilt, kinematics, sensing
-from .gaussfilt import SRF, GaussianBelief
+from .gaussfilt import SRF, GaussianBelief, UpdateOutcome
 from .kinematics import CT, MotionModel, ObserverState
 from .sensing import BearingPair
 
@@ -222,8 +222,35 @@ def init_bank(
     return bank_from_sides(b1, b2, pair.t)
 
 
-def _side_turn_rate(belief: GaussianBelief, model: MotionModel) -> float:
-    return float(belief.mean[4]) if model.kind == CT else 0.0
+def side_step(
+    belief: GaussianBelief,
+    y: float,
+    obs_prev: ObserverState,
+    obs_now: ObserverState,
+    model: MotionModel,
+    filter_kind: str,
+    noise_std: float,
+    kappa: Optional[float] = None,
+    gh_order: int = gaussfilt.DEFAULT_GH_ORDER,
+) -> UpdateOutcome:
+    """One recursion of a single side filter: observer input, predict, update.
+
+    The CT observer input is taken at the side's own turn-rate estimate.
+    Raises FilterNumericsError on a non-finite posterior mean; other
+    numerical failures of the filter propagate unchanged.
+    """
+    turn_rate = float(belief.mean[4]) if model.kind == CT else 0.0
+    u = kinematics.observer_input(obs_prev, obs_now, model, turn_rate=turn_rate)
+    prior = gaussfilt.predict(belief, model, u, filter_kind, kappa=kappa, gh_order=gh_order)
+    if filter_kind == SRF:
+        out = gaussfilt.srf_update(prior, y, noise_std)
+    else:
+        out = gaussfilt.update(
+            prior, y, noise_std, filter_kind, kappa=kappa, gh_order=gh_order
+        )
+    if not np.all(np.isfinite(out.posterior.mean)):
+        raise gaussfilt.FilterNumericsError("non-finite estimate")
+    return out
 
 
 def step(
@@ -237,35 +264,18 @@ def step(
     kappa: Optional[float] = None,
     gh_order: int = gaussfilt.DEFAULT_GH_ORDER,
 ) -> FilterBankState:
-    """One recursion of the bank: predict, per-side update, weight, fuse.
+    """One recursion of the bank: :func:`side_step` on each side, weight, fuse.
 
     Numerical failures propagate as exceptions; the Monte Carlo harness
     flags the run as diverged rather than aborting.
     """
-    # the CV input is state-independent, so both sides share one vector
-    u_shared = None
-    if model.kind != CT:
-        u_shared = kinematics.observer_input(obs_prev, obs_now, model)
-
-    outs = []
-    for belief, y in ((bank.belief1, meas.y1), (bank.belief2, meas.y2)):
-        u = u_shared
-        if u is None:
-            u = kinematics.observer_input(
-                obs_prev, obs_now, model, turn_rate=_side_turn_rate(belief, model)
-            )
-        prior = gaussfilt.predict(
-            belief, model, u, filter_kind, kappa=kappa, gh_order=gh_order
+    out1, out2 = (
+        side_step(
+            belief, y, obs_prev, obs_now, model, filter_kind, noise_std,
+            kappa=kappa, gh_order=gh_order,
         )
-        if filter_kind == SRF:
-            out = gaussfilt.srf_update(prior, y, noise_std)
-        else:
-            out = gaussfilt.update(
-                prior, y, noise_std, filter_kind, kappa=kappa, gh_order=gh_order
-            )
-        outs.append(out)
-
-    out1, out2 = outs
+        for belief, y in ((bank.belief1, meas.y1), (bank.belief2, meas.y2))
+    )
     log_odds = update_log_odds(bank.log_odds, out1.log_likelihood, out2.log_likelihood)
     return FilterBankState(
         belief1=out1.posterior,

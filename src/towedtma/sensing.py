@@ -24,8 +24,10 @@ class ZeroRangeError(ValueError):
 class BearingPair:
     """The two mirrored bearing detections at one time step.
 
-    The pair always satisfies ``y2 == wrap_angle(2*heading - y1)``; which
-    slot holds the true detection is unknown to the tracker.
+    One slot is the exact mirror of the other about the array axis: a pair
+    from :func:`measure` satisfies ``y2 == wrap_angle(2*heading - y1)``, and
+    once the slots are swapped ``y1 == wrap_angle(2*heading - y2)`` holds
+    instead. Which slot holds the true detection is unknown to the tracker.
     """
 
     y1: float
@@ -82,21 +84,16 @@ def measure(
     noise_std: float,
     rng: np.random.Generator,
     t: int = 0,
-    independent_ghost_noise: bool = False,
 ) -> BearingPair:
     """Synthesize the mirrored bearing pair for a relative state.
 
     The first slot holds wrap(gamma + nu) with nu ~ N(0, noise_std^2); the
     second holds its exact mirror about the array axis, so the same noise
-    draw enters both with opposite sign. Set ``independent_ghost_noise`` to
-    perturb the ghost with its own draw instead.
+    draw enters both with opposite sign.
     """
     theta = true_bearing(rel)
     y1 = wrap_angle(theta + noise_std * rng.standard_normal())
-    if independent_ghost_noise:
-        ghost = wrap_angle(2.0 * heading - theta + noise_std * rng.standard_normal())
-    else:
-        ghost = wrap_angle(2.0 * heading - y1)
+    ghost = wrap_angle(2.0 * heading - y1)
     return BearingPair(y1=float(y1), y2=float(ghost), heading=float(heading), t=t)
 
 

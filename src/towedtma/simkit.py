@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import gaussfilt, kinematics, lrtma, sensing
-from .gaussfilt import SRF, FILTER_KINDS, GaussianBelief
+from .gaussfilt import FILTER_KINDS, GaussianBelief
 from .kinematics import CT, CV, KNOT, MotionModel, ObserverState
 from .lrtma import FilterBankState, InitPrior
 from .sensing import BearingPair
@@ -92,10 +92,9 @@ class ScenarioConfig:
     ukf_kappa: Optional[float] = None
     gh_order: int = 3
     truth_process_noise: bool = True
-    independent_ghost_noise: bool = False
-    # Monte Carlo convention: the truth stays nominal and each run draws the
-    # filters' initial estimates from the stated prior
-    randomize_init: bool = True
+    # Monte Carlo convention: each run draws the filters' initial estimates
+    # from the stated prior; exact_init centres them on the truth and its
+    # mirror instead
     exact_init: bool = False
 
     def motion_model(self) -> MotionModel:
@@ -260,21 +259,6 @@ def run_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
 
 
-def _exact_side_beliefs(
-    rel1: np.ndarray,
-    prior: InitPrior,
-    obs: ObserverState,
-    model: MotionModel,
-) -> tuple[GaussianBelief, GaussianBelief]:
-    """Side beliefs centered exactly on the true state and its mirror."""
-    mirror = sensing.reflect_state(rel1, obs.heading)
-    b_true = lrtma.init_side(sensing.true_bearing(rel1), prior, obs, model)
-    b_ghost = lrtma.init_side(sensing.true_bearing(mirror), prior, obs, model)
-    true_first = GaussianBelief(mean=rel1.copy(), cov=b_true.cov)
-    ghost = GaussianBelief(mean=mirror, cov=b_ghost.cov)
-    return true_first, ghost
-
-
 def simulate_run(
     cfg: ScenarioConfig,
     seed: int | np.random.SeedSequence,
@@ -283,10 +267,11 @@ def simulate_run(
     """Simulate one run: truth, mirrored bearings, and the tracker.
 
     In "resolved" mode the two-filter bank processes both bearing slots; in
-    "known-side" mode a single filter is fed only the true-side bearing
-    (the estimate is stored in both bank slots with the weight locked).
-    Numerical failures mark the run diverged with a failure code instead of
-    raising.
+    "known-side" mode the bank's true side alone, started identically, is
+    fed only the true-side bearing through the same per-side kernel
+    (:func:`lrtma.side_step`), and its estimate is stored in both bank
+    slots with the weight locked. Numerical failures mark the run diverged
+    with a failure code instead of raising.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,14 +296,7 @@ def simulate_run(
     rel_all = relative_truth(target, observers)
 
     pairs_true_first = [
-        sensing.measure(
-            rel_all[k],
-            observers[k].heading,
-            sigma,
-            rng_meas,
-            t=k,
-            independent_ghost_noise=cfg.independent_ghost_noise,
-        )
+        sensing.measure(rel_all[k], observers[k].heading, sigma, rng_meas, t=k)
         for k in range(1, H + 1)
     ]
     swap = bool(rng_misc.random() < 0.5)
@@ -328,77 +306,46 @@ def simulate_run(
         for p in pairs_true_first
     ]
 
-    estimates: list[FilterBankState] = []
-    failure: Optional[str] = None
-
     # One polar draw per run, applied to both sides as mirror images (the
-    # angular offsets flip sign on side 2). A shared draw keeps the two
+    # angular offsets flip sign on slot 2). A shared draw keeps the two
     # hypotheses perfectly matched until the geometry separates them, and
     # keeps known-side runs paired with the bank's true side.
     polar_draw = rng_init.standard_normal(5)
-    perturb = cfg.randomize_init and not cfg.exact_init
+    obs1 = observers[1]
 
+    def init(slot: int) -> GaussianBelief:
+        if not cfg.exact_init:
+            y0 = pairs[0].y1 if slot == 1 else pairs[0].y2
+            sign = 1.0 if slot == 1 else -1.0
+            return _drawn_side(y0, sign, polar_draw, prior, obs1, model)
+        # centred on the true state or its mirror, with the covariance of a
+        # side started from that state's noise-free bearing
+        mean = rel_all[1].copy()
+        if slot != true_slot:
+            mean = sensing.reflect_state(mean, obs1.heading)
+        cov = lrtma.init_side(sensing.true_bearing(mean), prior, obs1, model).cov
+        return GaussianBelief(mean=mean, cov=cov)
+
+    estimates: list[FilterBankState] = []
+    failure: Optional[str] = None
     t0 = time.perf_counter()
     try:
         if mode == RESOLVED:
-            if cfg.exact_init:
-                bt, bg = _exact_side_beliefs(rel_all[1], prior, observers[1], model)
-                b1, b2 = (bg, bt) if swap else (bt, bg)
-            elif perturb:
-                b1 = _drawn_side(pairs[0].y1, +1.0, polar_draw, prior, observers[1], model)
-                b2 = _drawn_side(pairs[0].y2, -1.0, polar_draw, prior, observers[1], model)
-            else:
-                b1 = lrtma.init_side(pairs[0].y1, prior, observers[1], model)
-                b2 = lrtma.init_side(pairs[0].y2, prior, observers[1], model)
-            bank = lrtma.bank_from_sides(b1, b2, pairs[0].t)
-            estimates.append(bank)
-            for k in range(2, H + 1):
-                bank = lrtma.step(
-                    bank,
-                    pairs[k - 1],
-                    observers[k - 1],
-                    observers[k],
-                    model,
-                    cfg.filter_kind,
-                    sigma,
-                    kappa=cfg.ukf_kappa,
-                    gh_order=cfg.gh_order,
-                )
-                if not np.all(np.isfinite(bank.fused.mean)):
-                    raise gaussfilt.FilterNumericsError("non-finite estimate")
-                estimates.append(bank)
+            bank = lrtma.bank_from_sides(init(1), init(2), pairs[0].t)
         else:
-            y_true = [p.y1 if true_slot == 1 else p.y2 for p in pairs]
-            belief = lrtma.init_side(y_true[0], prior, observers[1], model)
-            if cfg.exact_init:
-                belief = GaussianBelief(mean=rel_all[1].copy(), cov=belief.cov)
-            elif perturb:
-                sign = 1.0 if true_slot == 1 else -1.0
-                belief = _drawn_side(
-                    y_true[0], sign, polar_draw, prior, observers[1], model
-                )
-            estimates.append(_single_state(belief, pairs[0].t))
-            for k in range(2, H + 1):
-                u = kinematics.observer_input(
-                    observers[k - 1],
-                    observers[k],
-                    model,
-                    turn_rate=float(belief.mean[4]) if model.kind == CT else 0.0,
-                )
-                pred = gaussfilt.predict(
-                    belief, model, u, cfg.filter_kind,
-                    kappa=cfg.ukf_kappa, gh_order=cfg.gh_order,
-                )
-                if cfg.filter_kind == SRF:
-                    belief = gaussfilt.srf_update(pred, y_true[k - 1], sigma).posterior
-                else:
-                    belief = gaussfilt.update(
-                        pred, y_true[k - 1], sigma, cfg.filter_kind,
-                        kappa=cfg.ukf_kappa, gh_order=cfg.gh_order,
-                    ).posterior
-                if not np.all(np.isfinite(belief.mean)):
-                    raise gaussfilt.FilterNumericsError("non-finite estimate")
-                estimates.append(_single_state(belief, k))
+            bank = _single_state(init(true_slot), pairs[0].t)
+        estimates.append(bank)
+        opts = dict(kappa=cfg.ukf_kappa, gh_order=cfg.gh_order)
+        for k in range(2, H + 1):
+            pair = pairs[k - 1]
+            args = (observers[k - 1], observers[k], model, cfg.filter_kind, sigma)
+            if mode == RESOLVED:
+                bank = lrtma.step(bank, pair, *args, **opts)
+            else:
+                y = pair.y1 if true_slot == 1 else pair.y2
+                out = lrtma.side_step(bank.fused, y, *args, **opts)
+                bank = _single_state(out.posterior, k)
+            estimates.append(bank)
     except (gaussfilt.FilterNumericsError, sensing.ZeroRangeError, np.linalg.LinAlgError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
         while len(estimates) < H:

@@ -145,6 +145,21 @@ class TestMonteCarloCommand:
         cells = {(r["filter"], r["case"], r["mode"]) for r in summary["rows"]}
         assert cells == {("ekf", "cv", "resolved"), ("ukf", "cv", "resolved")}
 
+    def test_row_keys_and_order(self, tmp_path):
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), tmp_path, filters=["ekf"], cases=["cv"],
+            modes=["known-side"],
+        )
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert list(summary["rows"][0]) == [
+            "filter", "case", "mode", "n_runs", "track_loss_pct", "terminal_rmse_pos_km"
+        ]
+        assert list(timings["rows"][0]) == [
+            "filter", "case", "mode", "mean_wall_s", "rel_exec_time"
+        ]
+        assert timings["rows"][0]["rel_exec_time"] == 1.0
+
     def test_baseline_relative_times(self, tmp_path):
         cfg = small_cfg(n_runs=6)
         cli.cmd_montecarlo(
@@ -182,6 +197,25 @@ class TestReportCommand:
         summary["manifest_key"] = "deadbeefdeadbeef"
         (tmp_path / "summary.json").write_text(json.dumps(summary))
         assert cli.cmd_report(tmp_path) == 2
+
+    def test_main_report_default_path_and_out(self, tmp_path):
+        mdir = tmp_path / "metrics"
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), mdir, filters=["ekf"], cases=["cv"], modes=["resolved"]
+        )
+        default = mdir / "report.json"
+        assert cli.main(["report", str(mdir)]) == 0
+        want = json.loads(default.read_text())
+        default.unlink()
+        out = tmp_path / "elsewhere.json"
+        assert cli.main(["report", str(mdir), "--out", str(out)]) == 0
+        assert not default.exists()
+        assert json.loads(out.read_text()) == want
+
+    def test_report_takes_no_run_options(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", str(tmp_path), "--runs", "5"])
+        assert exc.value.code == 2
 
     def test_missing_manifest(self, tmp_path):
         assert cli.cmd_report(tmp_path) == 2

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -349,6 +353,32 @@ class TestSrfUpdate:
             rho1, rho2 = gaussfilt.shifted_rayleigh_moments(u)
             assert rho1 == pytest.approx(m1 / den, rel=1e-9)
             assert rho2 == pytest.approx(m2 / den, rel=1e-9)
+
+    def test_moments_bitwise_match_scipy_stats_form(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(0)
+        args = np.concatenate([rng.normal(0.0, 8.0, 2000), [-35.0, -10.0, 0.0, 40.0]])
+        for u in args.tolist():
+            phi, Phi = norm.pdf(u), norm.cdf(u)
+            den = u * Phi + phi
+            want = (
+                float(((1.0 + u * u) * Phi + u * phi) / den),
+                float(((u * u + 2.0) * phi + u * (3.0 + u * u) * Phi) / den),
+            )
+            assert gaussfilt.shifted_rayleigh_moments(u) == want
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(gaussfilt.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = "import sys, towedtma; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_far_tail_moments_finite(self):
         rho1, rho2 = gaussfilt.shifted_rayleigh_moments(-50.0)

@@ -361,6 +361,66 @@ class TestStep:
                 assert 0.0 <= e.w1 <= 1.0
 
 
+def one_step_inputs(model_kind=CV):
+    """A fresh bank on the benchmark scenario with the next pair and observers."""
+    cfg = simkit.ScenarioConfig(model_kind=model_kind)
+    observers = simkit.gen_observer_track(cfg)
+    rel = simkit.relative_truth(simkit.gen_target_track(cfg), observers)
+    rng = np.random.default_rng(4)
+    pairs = [
+        sensing.measure(rel[k], observers[k].heading, cfg.sigma_theta_rad, rng, t=k)
+        for k in (1, 2)
+    ]
+    bank = init_bank(pairs[0], cfg.prior(), observers[1], cfg.motion_model())
+    return bank, pairs[1], observers[1], observers[2], cfg.motion_model(), cfg.sigma_theta_rad
+
+
+def poison_update(monkeypatch, kind, bad_y=None):
+    """Make the measurement update return a NaN posterior mean (for ``bad_y`` only)."""
+    name = "srf_update" if kind == "srf" else "update"
+    real = getattr(gaussfilt, name)
+
+    def poisoned(belief, y, *args, **kwargs):
+        out = real(belief, y, *args, **kwargs)
+        if bad_y is None or y == bad_y:
+            out.posterior.mean[0] = np.nan
+        return out
+
+    monkeypatch.setattr(gaussfilt, name, poisoned)
+
+
+class TestSideStep:
+    @pytest.mark.parametrize("model_kind", [CV, CT])
+    @pytest.mark.parametrize("kind", ["ekf", "ukf", "srf"])
+    def test_step_sides_are_side_steps(self, kind, model_kind):
+        bank, pair, o1, o2, model, sigma = one_step_inputs(model_kind)
+        if model_kind == CT:
+            # different turn rates on the two sides: each side's observer
+            # input must be taken at its own estimate
+            bank.belief1.mean[4], bank.belief2.mean[4] = 0.04, -0.02
+        nxt = step(bank, pair, o1, o2, model, kind, sigma)
+        for belief, y, got in ((bank.belief1, pair.y1, nxt.belief1),
+                               (bank.belief2, pair.y2, nxt.belief2)):
+            want = lrtma.side_step(belief, y, o1, o2, model, kind, sigma).posterior
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.cov, want.cov)
+
+    @pytest.mark.parametrize("kind", ["ekf", "srf"])
+    def test_side_step_rejects_non_finite_posterior(self, monkeypatch, kind):
+        bank, pair, o1, o2, model, sigma = one_step_inputs()
+        poison_update(monkeypatch, kind)
+        with pytest.raises(gaussfilt.FilterNumericsError, match="non-finite"):
+            lrtma.side_step(bank.belief1, pair.y1, o1, o2, model, kind, sigma)
+
+    @pytest.mark.parametrize("kind", ["ekf", "srf"])
+    def test_step_rejects_one_non_finite_side(self, monkeypatch, kind):
+        bank, pair, o1, o2, model, sigma = one_step_inputs()
+        assert pair.y1 != pair.y2
+        poison_update(monkeypatch, kind, bad_y=pair.y2)
+        with pytest.raises(gaussfilt.FilterNumericsError, match="non-finite"):
+            step(bank, pair, o1, o2, model, kind, sigma)
+
+
 class TestMirrorEquivariance:
     def test_ekf_bank_reflects_bitwise(self):
         # reflect everything across true north (axis = 0): the reflection's

@@ -139,16 +139,6 @@ class TestMeasure:
         )
         assert draws.std() == pytest.approx(std, rel=0.02)
 
-    def test_independent_ghost_noise_option(self):
-        rng = np.random.default_rng(3)
-        rel = np.array([3.0, 4.0, 0, 0])
-        pairs = [
-            measure(rel, 0.5, 0.05, rng, independent_ghost_noise=True)
-            for _ in range(200)
-        ]
-        resid = [wrap_angle(p.y1 + p.y2 - 1.0) for p in pairs]
-        assert np.std(resid) > 0.01  # mirrors no longer exact
-
     def test_reflection_swaps_pair(self):
         # reflecting the relative state across the array axis swaps the
         # true and ghost slots when the noise sign is reflected too

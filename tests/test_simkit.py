@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from towedtma import kinematics, sensing, simkit
+from towedtma import kinematics, lrtma, sensing, simkit
 from towedtma.kinematics import CT, CV, KNOT
 from towedtma.simkit import (
     KNOWN_SIDE,
@@ -188,16 +188,42 @@ class TestMonteCarlo:
 
     def test_runs_are_paired_across_modes(self):
         # same master seed -> identical truth and measurement draws, so the
-        # known-side run equals the bank's true side at initialization
-        cfg = ScenarioConfig(filter_kind="ekf", n_runs=1)
-        res = simulate_run(cfg, run_seed(cfg.seed, 0), mode=RESOLVED)
-        kn = simulate_run(cfg, run_seed(cfg.seed, 0), mode=KNOWN_SIDE)
-        assert np.array_equal(res.truth_rel, kn.truth_rel)
-        assert [p.y1 for p in res.measurements] == [p.y1 for p in kn.measurements]
-        true_belief = (
-            res.estimates[0].belief1 if res.true_slot == 1 else res.estimates[0].belief2
-        )
-        assert np.array_equal(kn.estimates[0].fused.mean, true_belief.mean)
+        # known-side run equals the bank's true side at initialization, for
+        # drawn and for exact initial estimates and for either true slot
+        for exact_init in (False, True):
+            cfg = ScenarioConfig(filter_kind="ekf", n_runs=1, exact_init=exact_init)
+            slots = set()
+            for i in range(6):
+                res = simulate_run(cfg, run_seed(cfg.seed, i), mode=RESOLVED)
+                kn = simulate_run(cfg, run_seed(cfg.seed, i), mode=KNOWN_SIDE)
+                assert np.array_equal(res.truth_rel, kn.truth_rel)
+                assert res.measurements == kn.measurements
+                assert res.true_slot == kn.true_slot
+                slots.add(res.true_slot)
+                first = res.estimates[0]
+                true_belief = first.belief1 if res.true_slot == 1 else first.belief2
+                assert np.array_equal(kn.estimates[0].fused.mean, true_belief.mean)
+                assert np.array_equal(kn.estimates[0].fused.cov, true_belief.cov)
+            assert slots == {1, 2}
+
+    def test_known_side_run_is_a_side_step_loop(self):
+        for kind, case in (("ekf", CV), ("srf", CT)):
+            cfg = ScenarioConfig(filter_kind=kind, model_kind=case)
+            rec = simulate_run(cfg, run_seed(cfg.seed, 1), mode=KNOWN_SIDE)
+            assert rec.failure is None
+            model = cfg.motion_model()
+            belief = rec.estimates[0].fused
+            for k in range(2, cfg.horizon + 1):
+                pair = rec.measurements[k - 1]
+                y = pair.y1 if rec.true_slot == 1 else pair.y2
+                belief = lrtma.side_step(
+                    belief, y, rec.observers[k - 1], rec.observers[k], model, kind,
+                    cfg.sigma_theta_rad, kappa=cfg.ukf_kappa, gh_order=cfg.gh_order,
+                ).posterior
+                est = rec.estimates[k - 1]
+                assert est.t == k
+                assert np.array_equal(est.fused.mean, belief.mean)
+                assert np.array_equal(est.fused.cov, belief.cov)
 
     def test_n_runs_validation(self):
         with pytest.raises(ValueError):
