@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -91,6 +92,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if not cond:
             raise ConfigError(f"{field}: {msg}")
 
+    for prefix, obj in (("", cfg), ("init_prior.", cfg.init_prior)):
+        for f in dataclasses.fields(obj):
+            v = getattr(obj, f.name)
+            if isinstance(v, float):
+                need(math.isfinite(v), prefix + f.name, f"must be finite, got {v}")
     need(cfg.T > 0, "T", f"sampling time must be positive, got {cfg.T}")
     need(cfg.horizon >= 2, "horizon", f"must be at least 2 steps, got {cfg.horizon}")
     need(cfg.target_speed_kn > 0, "target_speed_kn", "speed must be positive")
@@ -131,9 +137,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         "model_kind",
         f"must be 'cv' or 'ct', got {cfg.model_kind!r}",
     )
-    need(cfg.gh_order >= 2, "gh_order", "Gauss-Hermite order must be >= 2")
     p = cfg.init_prior
-    for name in ("sigma_r_km", "sigma_s_kn", "sigma_theta_deg", "sigma_c_deg"):
+    for name in (
+        "sigma_r_km", "sigma_s_kn", "sigma_theta_deg", "sigma_c_deg", "sigma_psi_deg_min"
+    ):
         need(getattr(p, name) > 0, f"init_prior.{name}", "std must be positive")
     need(p.r_bar_km > 0, "init_prior.r_bar_km", "prior range must be positive")
 
@@ -417,10 +424,19 @@ def _read_series_csv(path: Path, expect_key: str) -> dict:
 
 def _split_choice(value: str, allowed: Sequence[str], flag: str) -> list[str]:
     items = [v.strip() for v in value.split(",")] if value != "all" else list(allowed)
-    for item in items:
+    for i, item in enumerate(items):
         if item not in allowed:
             raise ConfigError(f"{flag}: {item!r} not in {list(allowed)}")
+        if item in items[:i]:
+            raise ConfigError(f"{flag}: {item!r} is repeated")
     return items
+
+
+def _one_choice(value: str, allowed: Sequence[str], flag: str) -> str:
+    items = _split_choice(value, allowed, flag)
+    if len(items) != 1:
+        raise ConfigError(f"{flag}: track takes one value, got {value!r}")
+    return items[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,20 +498,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "report":
             return cmd_report(args.metrics_dir, args.out)
 
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
         cfg = _load_config(args)
         if args.command == "track":
-            mode = (args.mode or RESOLVED).strip()
-            if mode not in MODES:
-                raise ConfigError(f"--mode: {mode!r} not in {list(MODES)}")
-            if args.filter:
-                cfg = dataclasses.replace(
-                    cfg, filter_kind=_split_choice(args.filter, FILTER_KINDS, "--filter")[0]
-                )
-            if args.case:
-                cfg = dataclasses.replace(
-                    cfg, model_kind=_split_choice(args.case, (CV, CT), "--case")[0]
-                )
-            validate_config(cfg)
+            cfg = dataclasses.replace(
+                cfg,
+                filter_kind=_one_choice(args.filter or cfg.filter_kind, FILTER_KINDS, "--filter"),
+                model_kind=_one_choice(args.case or cfg.model_kind, (CV, CT), "--case"),
+            )
+            mode = _one_choice(args.mode or RESOLVED, MODES, "--mode")
             return cmd_track(cfg, args.out, mode=mode)
 
         # montecarlo

@@ -16,6 +16,7 @@ measurements, and linear test stubs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,8 +34,6 @@ CKF = "ckf"
 GHF = "ghf"
 SRF = "srf"
 FILTER_KINDS = (EKF, UKF, CKF, GHF, SRF)
-
-DEFAULT_GH_ORDER = 3
 
 
 class FilterNumericsError(RuntimeError):
@@ -84,7 +83,6 @@ class UpdateOutcome:
     posterior: GaussianBelief
     pred_meas: float
     innov_cov: float
-    cross_cov: np.ndarray
     log_likelihood: float
 
     @property
@@ -107,13 +105,12 @@ class MeasurementModel:
     angular: bool = True
 
 
-def bearing_measurement() -> MeasurementModel:
-    """The towed-array bearing model atan2(x, y)."""
-    return MeasurementModel(
-        fn=lambda x: np.arctan2(x[..., 0], x[..., 1]),
-        jac=sensing.bearing_jacobian,
-        angular=True,
-    )
+# the towed-array bearing model atan2(x, y)
+BEARING = MeasurementModel(
+    fn=lambda x: np.arctan2(x[..., 0], x[..., 1]),
+    jac=sensing.bearing_jacobian,
+    angular=True,
+)
 
 
 def normal_log_pdf(resid: float, var: float) -> float:
@@ -145,21 +142,18 @@ def chol_psd(P: np.ndarray) -> np.ndarray:
             ) from exc
 
 
-def default_kappa(n: int) -> float:
-    """Julier's heuristic n + kappa = 3, matching the Gaussian fourth moment.
-
-    For the 4- and 5-dim states used here the center weight goes negative;
-    the transform stays moment-correct and in practice tracks better than
-    the kappa = 0 fallback, so the heuristic is kept for all n.
-    """
-    return 3.0 - n
-
-
 def unscented_points(belief: GaussianBelief, kappa: Optional[float] = None) -> WeightedPointSet:
-    """Standard unscented transform: 2n+1 points at mean +/- sqrt(n+k) L."""
+    """Standard unscented transform: 2n+1 points at mean +/- sqrt(n+k) L.
+
+    The default is Julier's heuristic n + kappa = 3, matching the Gaussian
+    fourth moment. For the 4- and 5-dim states used here the center weight
+    goes negative; the transform stays moment-correct and in practice
+    tracks better than the kappa = 0 fallback, so the heuristic is kept for
+    all n.
+    """
     n = belief.dim
     if kappa is None:
-        kappa = default_kappa(n)
+        kappa = 3.0 - n
     if n + kappa <= 0:
         raise ValueError(f"n + kappa must be positive, got {n + kappa}")
     L = chol_psd(belief.cov)
@@ -185,42 +179,50 @@ def cubature_points(belief: GaussianBelief) -> WeightedPointSet:
     return WeightedPointSet(points=pts, weights=w)
 
 
-def gauss_hermite_points(
-    belief: GaussianBelief, order: int = DEFAULT_GH_ORDER
-) -> WeightedPointSet:
-    """Tensor-product Gauss-Hermite grid of order**n points.
+@functools.lru_cache(maxsize=16)
+def _gauss_hermite_grid(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-normal abscissae (order**n, n) and weights of the tensor grid.
 
-    Univariate abscissae for the standard normal weight are mapped through
-    mean + L xi, with weights the products of the univariate weights.
+    Shared by every call with the same (order, n), so both are read-only.
     """
-    if order < 2:
-        raise ValueError(f"Gauss-Hermite order must be >= 2, got {order}")
-    n = belief.dim
     x1, w1 = hermite_e.hermegauss(order)
     w1 = w1 / w1.sum()
-    L = chol_psd(belief.cov)
     idx = np.stack(
         np.meshgrid(*([np.arange(order)] * n), indexing="ij"), axis=-1
     ).reshape(-1, n)
     xi = x1[idx]
     w = np.prod(w1[idx], axis=1)
+    xi.setflags(write=False)
+    w.setflags(write=False)
+    return xi, w
+
+
+def gauss_hermite_points(belief: GaussianBelief, order: int = 3) -> WeightedPointSet:
+    """Tensor-product Gauss-Hermite grid of order**n points.
+
+    Univariate abscissae for the standard normal weight are mapped through
+    mean + L xi, with weights the products of the univariate weights. The
+    weights array is shared between calls and read-only.
+    """
+    if order < 2:
+        raise ValueError(f"Gauss-Hermite order must be >= 2, got {order}")
+    xi, w = _gauss_hermite_grid(order, belief.dim)
+    L = chol_psd(belief.cov)
     pts = belief.mean + xi @ L.T
     return WeightedPointSet(points=pts, weights=w)
 
 
-def points_for(
-    kind: str,
-    belief: GaussianBelief,
-    kappa: Optional[float] = None,
-    gh_order: int = DEFAULT_GH_ORDER,
-) -> WeightedPointSet:
-    """Point set used by a sample-point filter (SRF borrows cubature)."""
+def points_for(kind: str, belief: GaussianBelief) -> WeightedPointSet:
+    """Point set used by a sample-point filter (SRF borrows cubature).
+
+    The UKF takes Julier's kappa = 3 - n and the GHF a third-order grid.
+    """
     if kind == UKF:
-        return unscented_points(belief, kappa)
+        return unscented_points(belief)
     if kind in (CKF, SRF):
         return cubature_points(belief)
     if kind == GHF:
-        return gauss_hermite_points(belief, gh_order)
+        return gauss_hermite_points(belief)
     raise ValueError(f"filter kind {kind!r} has no point set")
 
 
@@ -229,8 +231,6 @@ def predict(
     model: MotionModel,
     u: Optional[np.ndarray],
     kind: str,
-    kappa: Optional[float] = None,
-    gh_order: int = DEFAULT_GH_ORDER,
 ) -> GaussianBelief:
     """Time update through the motion model, minus the observer input.
 
@@ -255,7 +255,7 @@ def predict(
         mean = kinematics.transition(model, belief.mean) - u
         cov = F @ belief.cov @ F.T + Q
     else:
-        ps = points_for(kind, belief, kappa=kappa, gh_order=gh_order)
+        ps = points_for(kind, belief)
         prop = kinematics.transition(model, ps.points)
         m = ps.weights @ prop
         d = prop - m
@@ -269,20 +269,20 @@ def update(
     y: float,
     noise_std: float,
     kind: str,
-    meas: Optional[MeasurementModel] = None,
-    kappa: Optional[float] = None,
-    gh_order: int = DEFAULT_GH_ORDER,
+    meas: MeasurementModel = BEARING,
 ) -> UpdateOutcome:
-    """Scalar moment-matching measurement update.
+    """Measurement update of any filter kind.
 
-    Innovations of angular models are wrapped before the gain is applied;
-    the reported log-likelihood is the Gaussian density of that innovation.
-    Raises FilterNumericsError on a nonpositive innovation covariance.
+    The SRF runs :func:`srf_update`, which is defined for bearings only.
+    The other kinds make a scalar moment-matching update: innovations of
+    angular models are wrapped before the gain is applied, and the reported
+    log-likelihood is the Gaussian density of that innovation. Raises
+    FilterNumericsError on a nonpositive innovation covariance.
     """
     if kind == SRF:
-        raise ValueError("the shifted Rayleigh filter uses srf_update")
-    if meas is None:
-        meas = bearing_measurement()
+        if meas is not BEARING:
+            raise ValueError("the shifted Rayleigh filter updates bearings only")
+        return srf_update(belief, y, noise_std)
     R = noise_std**2
     m, P = belief.mean, belief.cov
 
@@ -292,7 +292,7 @@ def update(
         Pxy = P @ H
         Pyy = float(H @ Pxy) + R
     else:
-        ps = points_for(kind, belief, kappa=kappa, gh_order=gh_order)
+        ps = points_for(kind, belief)
         g = np.asarray(meas.fn(ps.points), dtype=float)
         if meas.angular:
             ref = float(meas.fn(m))
@@ -313,7 +313,6 @@ def update(
         posterior=GaussianBelief(mean=mean, cov=cov),
         pred_meas=yhat,
         innov_cov=Pyy,
-        cross_cov=Pxy,
         log_likelihood=normal_log_pdf(innov, Pyy),
     )
 
@@ -391,11 +390,9 @@ def srf_update(belief: GaussianBelief, y: float, noise_std: float) -> UpdateOutc
     tang = np.array([np.cos(pred), -np.sin(pred)])
     innov_cov = float(tang @ V @ tang) / r2
 
-    jac = sensing.bearing_jacobian(m)
     return UpdateOutcome(
         posterior=GaussianBelief(mean=mean, cov=cov),
         pred_meas=pred,
         innov_cov=innov_cov,
-        cross_cov=P @ jac,
         log_likelihood=log_likelihood,
     )

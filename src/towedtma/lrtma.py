@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import gaussfilt, kinematics, sensing
-from .gaussfilt import SRF, GaussianBelief, UpdateOutcome
+from .gaussfilt import GaussianBelief, UpdateOutcome
 from .kinematics import CT, MotionModel, ObserverState
 from .sensing import BearingPair
 
@@ -230,8 +229,6 @@ def side_step(
     model: MotionModel,
     filter_kind: str,
     noise_std: float,
-    kappa: Optional[float] = None,
-    gh_order: int = gaussfilt.DEFAULT_GH_ORDER,
 ) -> UpdateOutcome:
     """One recursion of a single side filter: observer input, predict, update.
 
@@ -241,13 +238,8 @@ def side_step(
     """
     turn_rate = float(belief.mean[4]) if model.kind == CT else 0.0
     u = kinematics.observer_input(obs_prev, obs_now, model, turn_rate=turn_rate)
-    prior = gaussfilt.predict(belief, model, u, filter_kind, kappa=kappa, gh_order=gh_order)
-    if filter_kind == SRF:
-        out = gaussfilt.srf_update(prior, y, noise_std)
-    else:
-        out = gaussfilt.update(
-            prior, y, noise_std, filter_kind, kappa=kappa, gh_order=gh_order
-        )
+    prior = gaussfilt.predict(belief, model, u, filter_kind)
+    out = gaussfilt.update(prior, y, noise_std, filter_kind)
     if not np.all(np.isfinite(out.posterior.mean)):
         raise gaussfilt.FilterNumericsError("non-finite estimate")
     return out
@@ -261,8 +253,6 @@ def step(
     model: MotionModel,
     filter_kind: str,
     noise_std: float,
-    kappa: Optional[float] = None,
-    gh_order: int = gaussfilt.DEFAULT_GH_ORDER,
 ) -> FilterBankState:
     """One recursion of the bank: :func:`side_step` on each side, weight, fuse.
 
@@ -270,10 +260,7 @@ def step(
     flags the run as diverged rather than aborting.
     """
     out1, out2 = (
-        side_step(
-            belief, y, obs_prev, obs_now, model, filter_kind, noise_std,
-            kappa=kappa, gh_order=gh_order,
-        )
+        side_step(belief, y, obs_prev, obs_now, model, filter_kind, noise_std)
         for belief, y in ((bank.belief1, meas.y1), (bank.belief2, meas.y2))
     )
     log_odds = update_log_odds(bank.log_odds, out1.log_likelihood, out2.log_likelihood)

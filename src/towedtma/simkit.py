@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -89,8 +90,6 @@ class ScenarioConfig:
     track_bound_km: float = 1.0
     filter_kind: str = "ekf"
     model_kind: str = CV
-    ukf_kappa: Optional[float] = None
-    gh_order: int = 3
     truth_process_noise: bool = True
     # Monte Carlo convention: each run draws the filters' initial estimates
     # from the stated prior; exact_init centres them on the truth and its
@@ -335,15 +334,14 @@ def simulate_run(
         else:
             bank = _single_state(init(true_slot), pairs[0].t)
         estimates.append(bank)
-        opts = dict(kappa=cfg.ukf_kappa, gh_order=cfg.gh_order)
         for k in range(2, H + 1):
             pair = pairs[k - 1]
             args = (observers[k - 1], observers[k], model, cfg.filter_kind, sigma)
             if mode == RESOLVED:
-                bank = lrtma.step(bank, pair, *args, **opts)
+                bank = lrtma.step(bank, pair, *args)
             else:
                 y = pair.y1 if true_slot == 1 else pair.y2
-                out = lrtma.side_step(bank.fused, y, *args, **opts)
+                out = lrtma.side_step(bank.fused, y, *args)
                 bank = _single_state(out.posterior, k)
             estimates.append(bank)
     except (gaussfilt.FilterNumericsError, sensing.ZeroRangeError, np.linalg.LinAlgError) as exc:
@@ -450,10 +448,12 @@ def run_monte_carlo(
     """Independent seeded runs reduced to summaries, ordered by run index.
 
     The result is a pure function of (config, master seed); the worker
-    count only changes how the runs are scheduled.
+    count only changes how the runs are scheduled. The pool never holds
+    more processes than the machine has CPUs.
     """
     if cfg.n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or cfg.n_runs < 4:
         return _mc_chunk(cfg, mode, 0, cfg.n_runs)
     n_chunks = min(workers * 4, cfg.n_runs)

@@ -54,6 +54,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="q1"):
             config_from_dict({"q1": -1.0})
 
+    def test_non_finite_fields_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"q1": Infinity}')
+        with pytest.raises(ConfigError, match="q1: must be finite"):
+            parse_config(p)
+        with pytest.raises(ConfigError, match="horizon: must be finite"):
+            config_from_dict({"horizon": float("nan")})
+        with pytest.raises(ConfigError, match="init_prior.r_bar_km: must be finite"):
+            config_from_dict({"init_prior": {"r_bar_km": float("inf")}})
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    def test_nonpositive_turn_rate_prior_rejected(self, value):
+        with pytest.raises(ConfigError, match="init_prior.sigma_psi_deg_min"):
+            config_from_dict({"init_prior": {"sigma_psi_deg_min": value}})
+
+    @pytest.mark.parametrize("key", ["ukf_kappa", "gh_order"])
+    def test_removed_filter_knobs_exit_2(self, tmp_path, capsys, key):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({key: 3}))
+        argv = ["montecarlo", "--config", str(p), "--runs", "1", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert key in capsys.readouterr().err
+
     def test_bad_filter_rejected(self):
         with pytest.raises(ConfigError, match="filter_kind"):
             config_from_dict({"filter_kind": "pf"})
@@ -115,6 +138,45 @@ class TestTrackCommand:
             ["track", "--config", str(ok), "--runs", "1", "--out", str(tmp_path / "o")]
         )
         assert rc == 0
+
+
+class TestCellFlags:
+    @pytest.mark.parametrize(
+        "flag, value, item",
+        [("--filter", "ekf,ekf", "ekf"), ("--case", "cv,ct,cv", "cv"),
+         ("--mode", "resolved,resolved", "resolved")],
+    )
+    def test_montecarlo_repeated_item_exits_2(self, tmp_path, capsys, flag, value, item):
+        out = tmp_path / "o"
+        assert cli.main(["montecarlo", flag, value, "--runs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(item) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--filter", "all"), ("--filter", "ekf,ukf"), ("--case", "ct,cv"), ("--mode", "all")],
+    )
+    def test_track_takes_one_value_per_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert cli.main(["track", flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_track_single_values(self, tmp_path):
+        argv = ["track", "--filter", "srf", "--case", "ct", "--mode", "known-side",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "track_srf_ct_known-side.csv").exists()
+
+    @pytest.mark.parametrize("command", ["track", "montecarlo"])
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, command, workers):
+        out = tmp_path / "o"
+        argv = [command, "--workers", workers, "--runs", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMonteCarloCommand:

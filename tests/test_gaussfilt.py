@@ -100,6 +100,29 @@ class TestPointSets:
             got = float(ps.weights @ ps.points[:, 0] ** deg)
             assert got == pytest.approx(moment[deg], abs=1e-9)
 
+    def test_gauss_hermite_grid_cache_matches_per_call_grid(self):
+        from numpy.polynomial import hermite_e
+
+        rng = np.random.default_rng(4)
+        for n in range(1, 6):
+            b = random_belief(rng, n)
+            L = np.linalg.cholesky(b.cov)
+            for order in (2, 3, 4):
+                x1, w1 = hermite_e.hermegauss(order)
+                w1 = w1 / w1.sum()
+                idx = np.stack(
+                    np.meshgrid(*([np.arange(order)] * n), indexing="ij"), axis=-1
+                ).reshape(-1, n)
+                for _ in range(2):  # the first call fills the cache
+                    ps = gauss_hermite_points(b, order)
+                    assert np.array_equal(ps.points, b.mean + x1[idx] @ L.T)
+                    assert np.array_equal(ps.weights, np.prod(w1[idx], axis=1))
+                with pytest.raises(ValueError, match="read-only"):
+                    ps.weights[0] = 0.0
+                for arr in gaussfilt._gauss_hermite_grid(order, n):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = 0.0
+
     def test_gauss_hermite_order_validation(self):
         b = random_belief(np.random.default_rng(3), 2)
         with pytest.raises(ValueError):
@@ -226,9 +249,15 @@ class TestUpdate:
         b = GaussianBelief(
             mean=np.array([3.0, 4.0, 0.1, 0.0]), cov=np.diag([0.5, 0.5, 0.01, 0.01])
         )
-        out = update(b, 0.8, 0.02, EKF)
+        y, r = 0.8, 0.02
+        out = update(b, y, r, EKF)
         J = sensing.bearing_jacobian(b.mean)
-        assert np.allclose(out.cross_cov, b.cov @ J, atol=1e-12)
+        S = J @ b.cov @ J + r**2
+        K = b.cov @ J / S
+        innov = y - sensing.true_bearing(b.mean)
+        assert out.innov_cov == pytest.approx(S, rel=1e-12)
+        assert np.allclose(out.posterior.mean, b.mean + K * innov, atol=1e-12)
+        assert np.allclose(out.posterior.cov, b.cov - S * np.outer(K, K), atol=1e-12)
 
     def test_wrapped_innovation(self):
         b = GaussianBelief(
@@ -241,10 +270,18 @@ class TestUpdate:
         out = update(b, y, 0.05, EKF)
         assert np.linalg.norm(out.posterior.mean - b.mean) < 1.0
 
-    def test_update_rejects_srf_kind(self):
-        b = random_belief(np.random.default_rng(1), 4)
-        with pytest.raises(ValueError):
-            update(b, 0.0, 0.1, SRF)
+    def test_srf_kind_runs_srf_update(self):
+        b = GaussianBelief(
+            mean=np.array([3.0, 4.0, 0.1, 0.0]), cov=np.diag([0.5, 0.5, 0.01, 0.01])
+        )
+        got, ref = update(b, 0.7, 0.02, SRF), srf_update(b, 0.7, 0.02)
+        assert np.array_equal(got.posterior.mean, ref.posterior.mean)
+        assert np.array_equal(got.posterior.cov, ref.posterior.cov)
+        assert (got.pred_meas, got.innov_cov, got.log_likelihood) == (
+            ref.pred_meas, ref.innov_cov, ref.log_likelihood
+        )
+        with pytest.raises(ValueError, match="bearings only"):
+            update(b, 0.7, 0.02, SRF, meas=linear_measurement())
 
 
 class TestKalmanEquivalenceOverTime:

@@ -1,7 +1,11 @@
+import math
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from towedtma import kinematics, lrtma, sensing, simkit
+from towedtma import gaussfilt, kinematics, lrtma, sensing, simkit
 from towedtma.kinematics import CT, CV, KNOT
 from towedtma.simkit import (
     KNOWN_SIDE,
@@ -218,7 +222,7 @@ class TestMonteCarlo:
                 y = pair.y1 if rec.true_slot == 1 else pair.y2
                 belief = lrtma.side_step(
                     belief, y, rec.observers[k - 1], rec.observers[k], model, kind,
-                    cfg.sigma_theta_rad, kappa=cfg.ukf_kappa, gh_order=cfg.gh_order,
+                    cfg.sigma_theta_rad,
                 ).posterior
                 est = rec.estimates[k - 1]
                 assert est.t == k
@@ -228,3 +232,70 @@ class TestMonteCarlo:
     def test_n_runs_validation(self):
         with pytest.raises(ValueError):
             run_monte_carlo(ScenarioConfig(n_runs=0))
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and runs each chunk in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
+        serial = run_monte_carlo(cfg)
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pooled = run_monte_carlo(cfg, workers=64)
+        assert sizes == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert len(run_monte_carlo(cfg, workers=64)) == cfg.n_runs
+        assert sizes == [3]
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a.pos_err, b.pos_err)
+            assert a.terminal_range_error == b.terminal_range_error
+
+    def test_injected_failure_flags_only_its_run(self, monkeypatch):
+        cfg = ScenarioConfig(filter_kind="ukf", model_kind=CT, n_runs=4)
+        clean = run_monte_carlo(cfg)
+        run_index, calls = [-1], [0]
+        simulate, chol = simkit.simulate_run, gaussfilt.chol_psd
+
+        def counting_simulate(*args, **kwargs):
+            run_index[0] += 1
+            return simulate(*args, **kwargs)
+
+        def failing_chol(P):
+            # four factorizations per resolved UKF step: call 100 is in step 26
+            if run_index[0] == 1:
+                calls[0] += 1
+                if calls[0] == 100:
+                    raise gaussfilt.FilterNumericsError("injected")
+            return chol(P)
+
+        monkeypatch.setattr(simkit, "simulate_run", counting_simulate)
+        monkeypatch.setattr(gaussfilt, "chol_psd", failing_chol)
+        sums = run_monte_carlo(cfg)
+        assert calls[0] == 100
+        assert [s.failure for s in sums] == [None, "FilterNumericsError: injected", None, None]
+        bad = sums[1]
+        assert bad.failed and bad.diverged and math.isnan(bad.terminal_range_error)
+        assert np.array_equal(bad.pos_err[:20], clean[1].pos_err[:20])
+        for i in (0, 2, 3):
+            a, b = sums[i], clean[i]
+            assert np.array_equal(a.pos_err, b.pos_err)
+            assert np.array_equal(a.vel_err, b.vel_err)
+            assert (a.terminal_range_error, a.terminal_max_weight, a.first_decided_step,
+                    a.diverged, a.failed, a.failure) == (
+                b.terminal_range_error, b.terminal_max_weight, b.first_decided_step,
+                b.diverged, b.failed, b.failure)
