@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 from . import __version__, evalkit, simkit
 from .gaussfilt import FILTER_KINDS
 from .kinematics import CT, CV
-from .simkit import MODES, RESOLVED, InitPriorConfig, ScenarioConfig
+from .simkit import MODES, RESOLVED, ConfigError, InitPriorConfig, ScenarioConfig
 
 BASELINE_CELL = ("ekf", "cv", "known-side")
 # BenchmarkRow fields that go to timings.json (with the cell) and not to
@@ -42,12 +41,8 @@ _CELL_FIELDS = ("filter", "case", "mode")
 _WALL_FIELDS = ("mean_wall_s", "rel_exec_time")
 
 
-class ConfigError(ValueError):
-    """Configuration file failed validation."""
-
-
 # ---------------------------------------------------------------------------
-# configuration parsing and validation
+# configuration parsing; ScenarioConfig validates the values itself
 
 _PRIOR_FIELDS = {f.name for f in dataclasses.fields(InitPriorConfig)}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -68,81 +63,18 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
+    """Build a config from parsed JSON; ``data`` is left unchanged."""
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    prior_data = data.pop("init_prior", None)
-    if prior_data is not None:
-        bad = set(prior_data) - _PRIOR_FIELDS
-        if bad:
-            raise ConfigError(f"unknown init_prior keys: {sorted(bad)}")
-        prior = InitPriorConfig(**prior_data)
-    else:
-        prior = InitPriorConfig()
-    try:
-        cfg = ScenarioConfig(init_prior=prior, **data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    def need(cond: bool, field: str, msg: str) -> None:
-        if not cond:
-            raise ConfigError(f"{field}: {msg}")
-
-    for prefix, obj in (("", cfg), ("init_prior.", cfg.init_prior)):
-        for f in dataclasses.fields(obj):
-            v = getattr(obj, f.name)
-            if isinstance(v, float):
-                need(math.isfinite(v), prefix + f.name, f"must be finite, got {v}")
-    need(cfg.T > 0, "T", f"sampling time must be positive, got {cfg.T}")
-    need(cfg.horizon >= 2, "horizon", f"must be at least 2 steps, got {cfg.horizon}")
-    need(cfg.target_speed_kn > 0, "target_speed_kn", "speed must be positive")
-    need(cfg.observer_speed_kn > 0, "observer_speed_kn", "speed must be positive")
-    need(
-        0 < cfg.maneuver_start_min,
-        "maneuver_start_min",
-        f"must be positive, got {cfg.maneuver_start_min}",
-    )
-    need(
-        cfg.maneuver_start_min < cfg.maneuver_end_min,
-        "maneuver_end_min",
-        f"must exceed maneuver_start_min={cfg.maneuver_start_min}, "
-        f"got {cfg.maneuver_end_min}",
-    )
-    need(
-        cfg.maneuver_end_min <= cfg.horizon * cfg.T,
-        "maneuver_end_min",
-        f"must not exceed horizon*T={cfg.horizon * cfg.T}",
-    )
-    need(cfg.q1 >= 0, "q1", f"noise intensity must be nonnegative, got {cfg.q1}")
-    need(cfg.q2 >= 0, "q2", f"noise intensity must be nonnegative, got {cfg.q2}")
-    need(
-        cfg.sigma_theta_meas_deg >= 0,
-        "sigma_theta_meas_deg",
-        "noise std must be nonnegative",
-    )
-    need(cfg.initial_range_km > 0, "initial_range_km", "range must be positive")
-    need(cfg.n_runs >= 1, "n_runs", f"must be at least 1, got {cfg.n_runs}")
-    need(cfg.track_bound_km > 0, "track_bound_km", "bound must be positive")
-    need(
-        cfg.filter_kind in FILTER_KINDS,
-        "filter_kind",
-        f"must be one of {FILTER_KINDS}, got {cfg.filter_kind!r}",
-    )
-    need(
-        cfg.model_kind in (CV, CT),
-        "model_kind",
-        f"must be 'cv' or 'ct', got {cfg.model_kind!r}",
-    )
-    p = cfg.init_prior
-    for name in (
-        "sigma_r_km", "sigma_s_kn", "sigma_theta_deg", "sigma_c_deg", "sigma_psi_deg_min"
-    ):
-        need(getattr(p, name) > 0, f"init_prior.{name}", "std must be positive")
-    need(p.r_bar_km > 0, "init_prior.r_bar_km", "prior range must be positive")
+    data = dict(data)
+    prior_data = data.pop("init_prior", {})
+    if not isinstance(prior_data, dict):
+        raise ConfigError("init_prior: must be a JSON object")
+    bad = set(prior_data) - _PRIOR_FIELDS
+    if bad:
+        raise ConfigError(f"unknown init_prior keys: {sorted(bad)}")
+    return ScenarioConfig(init_prior=InitPriorConfig(**prior_data), **data)
 
 
 def write_config(cfg: ScenarioConfig, path: str | Path) -> None:
@@ -486,10 +418,7 @@ def _load_config(args) -> ScenarioConfig:
         updates["seed"] = args.seed
     if args.runs is not None:
         updates["n_runs"] = args.runs
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    validate_config(cfg)
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

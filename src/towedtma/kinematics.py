@@ -119,14 +119,20 @@ def cv_transition(state: np.ndarray, T: float) -> np.ndarray:
     return out
 
 
-def _ct_ratios(psi: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """sin(psi*T)/psi and (1 - cos(psi*T))/psi with Taylor limits near zero."""
+def _ct_coeffs(psi, T: float) -> tuple[np.ndarray, ...]:
+    """CT transition coefficients (a, b, cos(psi*T), sin(psi*T)).
+
+    a = sin(psi*T)/psi and b = (1 - cos(psi*T))/psi, with Taylor limits
+    near zero. Accepts a scalar or an array of turn rates.
+    """
     psi = np.asarray(psi, dtype=float)
+    cs = np.cos(psi * T)
+    sn = np.sin(psi * T)
     small = np.abs(psi) < PSI_EPS
     safe = np.where(small, 1.0, psi)
-    a = np.where(small, T, np.sin(safe * T) / safe)
-    b = np.where(small, psi * T * T / 2.0, (1.0 - np.cos(safe * T)) / safe)
-    return a, b
+    a = np.where(small, T, sn / safe)
+    b = np.where(small, psi * T * T / 2.0, (1.0 - cs) / safe)
+    return a, b, cs, sn
 
 
 def ct_transition(state: np.ndarray, T: float) -> np.ndarray:
@@ -139,9 +145,7 @@ def ct_transition(state: np.ndarray, T: float) -> np.ndarray:
     if s.shape[-1] != 5:
         raise ValueError(f"CT state must have 5 components, got shape {s.shape}")
     psi = s[..., 4]
-    a, b = _ct_ratios(psi, T)
-    cs = np.cos(psi * T)
-    sn = np.sin(psi * T)
+    a, b, cs, sn = _ct_coeffs(psi, T)
     vx, vy = s[..., 2], s[..., 3]
     out = np.empty_like(s)
     out[..., 0] = s[..., 0] + a * vx - b * vy
@@ -186,10 +190,7 @@ def observer_input(
                 obs_now.vy - obs_prev.vy,
             ]
         )
-    a, b = _ct_ratios(np.asarray(turn_rate), T)
-    a, b = float(a), float(b)
-    cs = float(np.cos(turn_rate * T))
-    sn = float(np.sin(turn_rate * T))
+    a, b, cs, sn = map(float, _ct_coeffs(turn_rate, T))
     return np.array(
         [
             obs_now.x - obs_prev.x - a * obs_prev.vx + b * obs_prev.vy,
@@ -239,10 +240,7 @@ def process_jacobian(model: MotionModel, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"CT state must have shape (5,), got {s.shape}")
     psi = s[4]
     vx, vy = s[2], s[3]
-    a, b = _ct_ratios(np.asarray(psi), T)
-    a, b = float(a), float(b)
-    cs = float(np.cos(psi * T))
-    sn = float(np.sin(psi * T))
+    a, b, cs, sn = map(float, _ct_coeffs(psi, T))
     if abs(psi) < PSI_EPS:
         # Taylor limits of d/dpsi of the trig ratios
         da = -psi * T**3 / 3.0

@@ -16,9 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -34,9 +35,43 @@ KNOWN_SIDE = "known-side"
 MODES = (RESOLVED, KNOWN_SIDE)
 
 
+class ConfigError(ValueError):
+    """A scenario configuration value is invalid; the message starts with
+    the field name (``init_prior.`` names a field of the prior)."""
+
+
+def _need(ok: bool, name: str, msg: str, *args) -> None:
+    # the message is formatted only on failure: configs are built per
+    # Monte Carlo call and per CLI cell
+    if not ok:
+        raise ConfigError(f"{name}: {msg.format(*args)}")
+
+
+def _check_types(obj, prefix: str) -> None:
+    """Type and finiteness of every field, named by its annotation.
+
+    ``int`` fields take ints only; ``float`` fields take ints or floats
+    (kept as given, since the manifest key hashes the JSON value) and must
+    be finite. Bools are rejected for both.
+    """
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int":
+            _need(isinstance(v, int) and not isinstance(v, bool),
+                  prefix + f.name, "must be an integer, got {!r}", v)
+        elif f.type == "float":
+            _need(isinstance(v, (int, float)) and not isinstance(v, bool),
+                  prefix + f.name, "must be a real number, got {!r}", v)
+            # abs() also rejects nan, and an int too large for a float
+            _need(abs(v) <= sys.float_info.max, prefix + f.name, "must be finite, got {}", v)
+
+
 @dataclass(frozen=True)
 class InitPriorConfig:
-    """Initialization prior in file units (km, knots, degrees)."""
+    """Initialization prior in file units (km, knots, degrees).
+
+    Construction validates every field and raises :class:`ConfigError`.
+    """
 
     sigma_r_km: float = 2.0
     sigma_s_kn: float = 2.0
@@ -46,6 +81,14 @@ class InitPriorConfig:
     s_bar_kn: float = 4.0
     # wide enough that a 3 deg/min turn sits inside one sigma of the prior
     sigma_psi_deg_min: float = 3.5
+
+    def __post_init__(self) -> None:
+        _check_types(self, "init_prior.")
+        for name in (
+            "sigma_r_km", "sigma_s_kn", "sigma_theta_deg", "sigma_c_deg", "sigma_psi_deg_min"
+        ):
+            _need(getattr(self, name) > 0, "init_prior." + name, "std must be positive")
+        _need(self.r_bar_km > 0, "init_prior.r_bar_km", "prior range must be positive")
 
     def to_internal(self) -> InitPrior:
         return InitPrior(
@@ -64,7 +107,11 @@ class ScenarioConfig:
     """Full benchmark scenario in file units (knots, degrees, km, minutes).
 
     ``model_kind`` selects the case: "cv" runs the straight-line target with
-    CV filters, "ct" the turning target with CT filters.
+    CV filters, "ct" the turning target with CT filters. Each run draws the
+    filters' initial estimates from ``init_prior``.
+
+    Construction (and ``dataclasses.replace``) validates every field and
+    raises :class:`ConfigError` naming the first bad one.
     """
 
     T: float = 1.0
@@ -90,11 +137,35 @@ class ScenarioConfig:
     track_bound_km: float = 1.0
     filter_kind: str = "ekf"
     model_kind: str = CV
-    truth_process_noise: bool = True
-    # Monte Carlo convention: each run draws the filters' initial estimates
-    # from the stated prior; exact_init centres them on the truth and its
-    # mirror instead
-    exact_init: bool = False
+
+    def __post_init__(self) -> None:
+        _check_types(self, "")
+        _need(isinstance(self.init_prior, InitPriorConfig), "init_prior",
+              "must be an InitPriorConfig, got {!r}", self.init_prior)
+        _need(self.T > 0, "T", "sampling time must be positive, got {}", self.T)
+        _need(self.horizon >= 2, "horizon", "must be at least 2 steps, got {}", self.horizon)
+        _need(self.target_speed_kn > 0, "target_speed_kn", "speed must be positive")
+        _need(self.observer_speed_kn > 0, "observer_speed_kn", "speed must be positive")
+        _need(0 < self.maneuver_start_min, "maneuver_start_min",
+              "must be positive, got {}", self.maneuver_start_min)
+        _need(self.maneuver_start_min < self.maneuver_end_min, "maneuver_end_min",
+              "must exceed maneuver_start_min={}, got {}",
+              self.maneuver_start_min, self.maneuver_end_min)
+        _need(self.maneuver_end_min <= self.horizon * self.T, "maneuver_end_min",
+              "must not exceed horizon*T={}", self.horizon * self.T)
+        _need(self.q1 >= 0, "q1", "noise intensity must be nonnegative, got {}", self.q1)
+        _need(self.q2 >= 0, "q2", "noise intensity must be nonnegative, got {}", self.q2)
+        _need(self.sigma_theta_meas_deg >= 0, "sigma_theta_meas_deg",
+              "noise std must be nonnegative")
+        _need(self.initial_range_km > 0, "initial_range_km", "range must be positive")
+        # SeedSequence takes nonnegative entropy only
+        _need(self.seed >= 0, "seed", "must be nonnegative, got {}", self.seed)
+        _need(self.n_runs >= 1, "n_runs", "must be at least 1, got {}", self.n_runs)
+        _need(self.track_bound_km > 0, "track_bound_km", "bound must be positive")
+        _need(self.filter_kind in FILTER_KINDS, "filter_kind",
+              "must be one of {}, got {!r}", FILTER_KINDS, self.filter_kind)
+        _need(self.model_kind in (CV, CT), "model_kind",
+              "must be 'cv' or 'ct', got {!r}", self.model_kind)
 
     def motion_model(self) -> MotionModel:
         return MotionModel(kind=self.model_kind, T=self.T, q1=self.q1, q2=self.q2)
@@ -274,8 +345,6 @@ def simulate_run(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if cfg.filter_kind not in FILTER_KINDS:
-        raise ValueError(f"unknown filter kind {cfg.filter_kind!r}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # derive the child streams statelessly: SeedSequence.spawn would mutate
     # the caller's object and break same-seed reproducibility
@@ -291,7 +360,7 @@ def simulate_run(
     H = cfg.horizon
 
     observers = list(_observer_track_cached(cfg))
-    target = gen_target_track(cfg, rng_proc if cfg.truth_process_noise else None)
+    target = gen_target_track(cfg, rng_proc)
     rel_all = relative_truth(target, observers)
 
     pairs_true_first = [
@@ -313,17 +382,9 @@ def simulate_run(
     obs1 = observers[1]
 
     def init(slot: int) -> GaussianBelief:
-        if not cfg.exact_init:
-            y0 = pairs[0].y1 if slot == 1 else pairs[0].y2
-            sign = 1.0 if slot == 1 else -1.0
-            return _drawn_side(y0, sign, polar_draw, prior, obs1, model)
-        # centred on the true state or its mirror, with the covariance of a
-        # side started from that state's noise-free bearing
-        mean = rel_all[1].copy()
-        if slot != true_slot:
-            mean = sensing.reflect_state(mean, obs1.heading)
-        cov = lrtma.init_side(sensing.true_bearing(mean), prior, obs1, model).cov
-        return GaussianBelief(mean=mean, cov=cov)
+        y0 = pairs[0].y1 if slot == 1 else pairs[0].y2
+        sign = 1.0 if slot == 1 else -1.0
+        return _drawn_side(y0, sign, polar_draw, prior, obs1, model)
 
     estimates: list[FilterBankState] = []
     failure: Optional[str] = None
@@ -451,8 +512,6 @@ def run_monte_carlo(
     count only changes how the runs are scheduled. The pool never holds
     more processes than the machine has CPUs.
     """
-    if cfg.n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or cfg.n_runs < 4:
         return _mc_chunk(cfg, mode, 0, cfg.n_runs)

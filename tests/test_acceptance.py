@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The heavy Monte Carlo fixtures (500-run Case I, 5000-run track-loss table)
-are computed once per session and shared. Run with ``pytest -s
-tests/test_acceptance.py`` to see the per-criterion lines as they land.
+are computed once per session and shared; the criteria that use them are
+marked ``slow``. Run with ``pytest -s tests/test_acceptance.py`` to see
+the per-criterion lines as they land.
 """
 
 import time
@@ -168,6 +169,7 @@ def test_ac2_weight_recursion_properties():
 # criterion 3: ambiguity resolution on Case I
 
 
+@pytest.mark.slow
 def test_ac3_ambiguity_resolution(case1_500):
     sums = case1_500[UKF]
     elapsed = case1_500[UKF, "elapsed"]
@@ -188,6 +190,7 @@ def test_ac3_ambiguity_resolution(case1_500):
 # criterion 4: terminal RMSE and bias norm, Case I, all filters
 
 
+@pytest.mark.slow
 def test_ac4_terminal_rmse_and_bias(case1_500):
     lines = []
     ok = True
@@ -214,6 +217,7 @@ def test_ac4_terminal_rmse_and_bias(case1_500):
 # criterion 5: track-loss reproduction at 5000 runs per cell
 
 
+@pytest.mark.slow
 def test_ac5_track_loss_reproduction(table_5000):
     hits = 0
     lines = []
@@ -237,6 +241,7 @@ def test_ac5_track_loss_reproduction(table_5000):
 # criterion 6: resolved vs known-side equivalence
 
 
+@pytest.mark.slow
 def test_ac6_resolved_vs_known_side(table_5000):
     lines = []
     worst = 0.0
@@ -260,6 +265,7 @@ def test_ac6_resolved_vs_known_side(table_5000):
 # criterion 7: relative execution time
 
 
+@pytest.mark.slow
 def test_ac7_relative_execution_time(table_5000):
     ratio_lines = []
     ok_ratio = True

@@ -59,8 +59,8 @@ class TestParseConfig:
         p.write_text('{"q1": Infinity}')
         with pytest.raises(ConfigError, match="q1: must be finite"):
             parse_config(p)
-        with pytest.raises(ConfigError, match="horizon: must be finite"):
-            config_from_dict({"horizon": float("nan")})
+        with pytest.raises(ConfigError, match="T: must be finite"):
+            config_from_dict({"T": float("nan")})
         with pytest.raises(ConfigError, match="init_prior.r_bar_km: must be finite"):
             config_from_dict({"init_prior": {"r_bar_km": float("inf")}})
 
@@ -69,13 +69,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="init_prior.sigma_psi_deg_min"):
             config_from_dict({"init_prior": {"sigma_psi_deg_min": value}})
 
-    @pytest.mark.parametrize("key", ["ukf_kappa", "gh_order"])
-    def test_removed_filter_knobs_exit_2(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "key", ["ukf_kappa", "gh_order", "exact_init", "truth_process_noise"]
+    )
+    def test_removed_keys_exit_2(self, tmp_path, capsys, key):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({key: 3}))
         argv = ["montecarlo", "--config", str(p), "--runs", "1", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, extra, field",
+        [
+            ('{"q1": "abc"}', [], "q1"),
+            ('{"horizon": 20.5}', [], "horizon"),
+            ('{"init_prior": 5}', [], "init_prior"),
+            ('{"seed": -1}', [], "seed"),
+            ('{"seed": 1.5}', [], "seed"),
+            ('{"n_runs": true}', [], "n_runs"),
+            ("{}", ["--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, text, extra, field):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["track", "--config", str(p), "--out", str(out)] + extra) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_from_dict_leaves_argument_unchanged(self):
+        data = {"init_prior": {"sigma_r_km": 3.0}, "q1": 1e-6}
+        cfg = config_from_dict(data)
+        assert data == {"init_prior": {"sigma_r_km": 3.0}, "q1": 1e-6}
+        assert cfg.init_prior.sigma_r_km == 3.0
+        assert config_from_dict(data) == cfg
 
     def test_bad_filter_rejected(self):
         with pytest.raises(ConfigError, match="filter_kind"):

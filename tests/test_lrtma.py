@@ -275,36 +275,48 @@ class TestFuse:
 
 
 def run_near_noiseless_bank(model_kind=CV, steps=30, filter_kind=EKF):
-    """Near-noiseless scenario with exact side initialization.
+    """Bank on a noise-free truth with its sides centred on the truth
+    (slot 1) and its mirror, each with the covariance of a side started
+    from that state's noise-free bearing. Returns (truth, banks) for
+    t = 1..steps.
 
     A strictly zero measurement noise drives the posterior covariance to
     exact singularity, so the oracle run keeps a hundredth of a degree.
     """
     cfg = simkit.ScenarioConfig(
-        filter_kind=filter_kind,
-        model_kind=model_kind,
-        sigma_theta_meas_deg=0.01,
-        q1=0.0,
-        q2=0.0,
-        truth_process_noise=False,
-        exact_init=True,
-        horizon=steps,
+        model_kind=model_kind, sigma_theta_meas_deg=0.01, q1=0.0, q2=0.0, horizon=steps
     )
-    return simkit.simulate_run(cfg, simkit.run_seed(0, 0))
+    model, prior, sigma = cfg.motion_model(), cfg.prior(), cfg.sigma_theta_rad
+    obs = simkit.gen_observer_track(cfg)
+    truth = simkit.relative_truth(simkit.gen_target_track(cfg), obs)[1:]
+    rng = np.random.default_rng(0)
+
+    def side(mean):
+        cov = init_side(sensing.true_bearing(mean), prior, obs[1], model).cov
+        return GaussianBelief(mean=mean, cov=cov)
+
+    mirror = sensing.reflect_state(truth[0], obs[1].heading)
+    banks = [lrtma.bank_from_sides(side(truth[0]), side(mirror), 1)]
+    for k in range(2, steps + 1):
+        pair = sensing.measure(truth[k - 1], obs[k].heading, sigma, rng, t=k)
+        banks.append(step(banks[-1], pair, obs[k - 1], obs[k], model, filter_kind, sigma))
+    return truth, banks
 
 
 class TestStep:
     def test_near_noiseless_true_side_weight_nondecreasing(self):
         # the EKF's linearization is geometric, so with exact init the two
         # sides stay mirror images and the true side can only gain weight
-        rec = run_near_noiseless_bank()
-        assert rec.failure is None
-        w_true = [
-            e.w1 if rec.true_slot == 1 else e.w2 for e in rec.estimates
-        ]
+        _, banks = run_near_noiseless_bank()
+        w_true = [e.w1 for e in banks]
         for a, b in zip(w_true[1:], w_true[2:]):
             assert b >= a - 1e-9
         assert w_true[-1] > 0.999
+
+    def test_near_noiseless_terminal_error(self):
+        truth, banks = run_near_noiseless_bank()
+        err = np.hypot(*(banks[-1].fused.mean[:2] - truth[-1][:2]))
+        assert err < 0.05
 
     def test_on_axis_target_keeps_equal_weights(self):
         # target dead ahead on the array axis: both slots carry the same

@@ -1,15 +1,20 @@
+import dataclasses
 import math
 import os
+import re
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from towedtma import gaussfilt, kinematics, lrtma, sensing, simkit
+from towedtma.gaussfilt import FILTER_KINDS
 from towedtma.kinematics import CT, CV, KNOT
 from towedtma.simkit import (
     KNOWN_SIDE,
     RESOLVED,
+    ConfigError,
+    InitPriorConfig,
     ScenarioConfig,
     gen_observer_track,
     gen_target_track,
@@ -19,6 +24,50 @@ from towedtma.simkit import (
     simulate_run,
     summarize_run,
 )
+
+
+# values a field of each annotated type must reject: wrong types, and
+# non-finite numbers for float fields
+_BAD_VALUES = {
+    "int": [1.5, True, "3", None, math.nan],
+    "float": ["abc", False, None, [1.0], math.inf, -math.inf, math.nan],
+    "str": [5, None],
+    "InitPriorConfig": [5, {}, None],
+}
+_BAD_FIELD_CASES = [
+    pytest.param(cls, f.name, v, id=f"{cls.__name__}.{f.name}={v!r}")
+    for cls in (ScenarioConfig, InitPriorConfig)
+    for f in dataclasses.fields(cls)
+    for v in _BAD_VALUES[f.type]
+]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("cls, name, value", _BAD_FIELD_CASES)
+    def test_bad_field_value_raises_naming_field(self, cls, name, value):
+        label = ("init_prior." if cls is InitPriorConfig else "") + name
+        pattern = f"^{re.escape(label)}: "
+        with pytest.raises(ConfigError, match=pattern):
+            cls(**{name: value})
+        with pytest.raises(ConfigError, match=pattern):
+            dataclasses.replace(cls(), **{name: value})
+
+    @pytest.mark.parametrize("name", ["q1", "target_course0_deg", "T"])
+    def test_float_fields_keep_ints(self, name):
+        cfg = ScenarioConfig(**{name: 2})
+        assert type(getattr(cfg, name)) is int
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed: must be nonnegative"):
+            ScenarioConfig(seed=-1)
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("case", [CV, CT])
+    def test_benchmark_cell_configs_valid(self, kind, case):
+        # the form in which benchmarks/workloads.py builds each cell's config
+        cfg = ScenarioConfig(filter_kind=kind, model_kind=case, n_runs=2, seed=2**32 - 1)
+        assert dataclasses.replace(cfg) == cfg
+        assert (cfg.filter_kind, cfg.model_kind, cfg.n_runs) == (kind, case, 2)
 
 
 class TestObserverTrack:
@@ -138,20 +187,6 @@ class TestSimulateRun:
                 0.0, abs=1e-12
             )
 
-    def test_near_noiseless_terminal_error(self):
-        cfg = ScenarioConfig(
-            filter_kind="ekf",
-            sigma_theta_meas_deg=0.01,
-            q1=0.0,
-            q2=0.0,
-            truth_process_noise=False,
-            exact_init=True,
-        )
-        rec = simulate_run(cfg, run_seed(0, 0))
-        assert rec.failure is None
-        err = np.hypot(*(rec.estimates[-1].fused.mean[:2] - rec.truth_rel[-1][:2]))
-        assert err < 0.05
-
     def test_known_side_mode_single_filter(self):
         cfg = ScenarioConfig(filter_kind="ckf")
         rec = simulate_run(cfg, run_seed(cfg.seed, 2), mode=KNOWN_SIDE)
@@ -193,22 +228,21 @@ class TestMonteCarlo:
     def test_runs_are_paired_across_modes(self):
         # same master seed -> identical truth and measurement draws, so the
         # known-side run equals the bank's true side at initialization, for
-        # drawn and for exact initial estimates and for either true slot
-        for exact_init in (False, True):
-            cfg = ScenarioConfig(filter_kind="ekf", n_runs=1, exact_init=exact_init)
-            slots = set()
-            for i in range(6):
-                res = simulate_run(cfg, run_seed(cfg.seed, i), mode=RESOLVED)
-                kn = simulate_run(cfg, run_seed(cfg.seed, i), mode=KNOWN_SIDE)
-                assert np.array_equal(res.truth_rel, kn.truth_rel)
-                assert res.measurements == kn.measurements
-                assert res.true_slot == kn.true_slot
-                slots.add(res.true_slot)
-                first = res.estimates[0]
-                true_belief = first.belief1 if res.true_slot == 1 else first.belief2
-                assert np.array_equal(kn.estimates[0].fused.mean, true_belief.mean)
-                assert np.array_equal(kn.estimates[0].fused.cov, true_belief.cov)
-            assert slots == {1, 2}
+        # either true slot
+        cfg = ScenarioConfig(filter_kind="ekf", n_runs=1)
+        slots = set()
+        for i in range(6):
+            res = simulate_run(cfg, run_seed(cfg.seed, i), mode=RESOLVED)
+            kn = simulate_run(cfg, run_seed(cfg.seed, i), mode=KNOWN_SIDE)
+            assert np.array_equal(res.truth_rel, kn.truth_rel)
+            assert res.measurements == kn.measurements
+            assert res.true_slot == kn.true_slot
+            slots.add(res.true_slot)
+            first = res.estimates[0]
+            true_belief = first.belief1 if res.true_slot == 1 else first.belief2
+            assert np.array_equal(kn.estimates[0].fused.mean, true_belief.mean)
+            assert np.array_equal(kn.estimates[0].fused.cov, true_belief.cov)
+        assert slots == {1, 2}
 
     def test_known_side_run_is_a_side_step_loop(self):
         for kind, case in (("ekf", CV), ("srf", CT)):
@@ -230,7 +264,7 @@ class TestMonteCarlo:
                 assert np.array_equal(est.fused.cov, belief.cov)
 
     def test_n_runs_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^n_runs: "):
             run_monte_carlo(ScenarioConfig(n_runs=0))
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
