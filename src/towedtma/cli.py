@@ -56,7 +56,10 @@ def parse_config(path: str | Path) -> ScenarioConfig:
     empty JSON object) yields the default Case I configuration.
     """
     raw = Path(path).read_text().strip()
-    data = json.loads(raw) if raw else {}
+    try:
+        data = json.loads(raw) if raw else {}
+    except ValueError as exc:  # bad JSON, or an int past Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(data)
@@ -75,10 +78,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if bad:
         raise ConfigError(f"unknown init_prior keys: {sorted(bad)}")
     return ScenarioConfig(init_prior=InitPriorConfig(**prior_data), **data)
-
-
-def write_config(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(cfg.to_dict()) + "\n")
 
 
 def canonical_json(obj) -> str:
@@ -207,7 +206,7 @@ def cmd_montecarlo(
         rel = evalkit.relative_execution_time(walls, BASELINE_CELL)
         for r in rows:
             r.rel_exec_time = rel[r.cell]
-    dicts = [r.to_dict() for r in rows]
+    dicts = [dataclasses.asdict(r) for r in rows]
 
     summary = {
         "manifest_key": key,
@@ -287,42 +286,21 @@ def validate_schema(obj, schema, where="report") -> None:
             validate_schema(item, schema["items"], f"{where}[{i}]")
 
 
+class ReportError(ValueError):
+    """A metrics directory is inconsistent; the message names the file."""
+
+
 def cmd_report(metrics_dir: Path, out_path: Optional[Path] = None) -> int:
-    """Merge one metrics directory into a consolidated, validated report."""
-    manifest_file = metrics_dir / "manifest.json"
-    if not manifest_file.exists():
-        print(f"no manifest.json in {metrics_dir}", file=sys.stderr)
+    """Merge one metrics directory into a consolidated, validated report.
+
+    A directory whose files lack their manifest key or disagree with
+    manifest.json is refused: exit 2 with one stderr line naming the file.
+    """
+    try:
+        report = _merge_report(metrics_dir)
+    except ReportError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
         return 2
-    manifest = json.loads(manifest_file.read_text())
-    key = manifest["manifest_key"]
-
-    series = {}
-    summary = None
-    timings = None
-    for path in sorted(metrics_dir.iterdir()):
-        if path.name.startswith("metrics_") and path.suffix == ".csv":
-            series[path.stem] = _read_series_csv(path, key)
-        elif path.name == "summary.json":
-            summary = json.loads(path.read_text())
-        elif path.name == "timings.json":
-            timings = json.loads(path.read_text())
-    for blob, name in ((summary, "summary.json"), (timings, "timings.json")):
-        if blob is not None and blob.get("manifest_key") != key:
-            print(
-                f"{name}: manifest key {blob.get('manifest_key')!r} does not "
-                f"match {key!r}",
-                file=sys.stderr,
-            )
-            return 2
-
-    report = {
-        "manifest_key": key,
-        "version": manifest["version"],
-        "config": manifest["config"],
-        "summary": [] if summary is None else summary["rows"],
-        "timings": [] if timings is None else timings["rows"],
-        "series": series,
-    }
     schema = json.loads(_schema_path().read_text())
     validate_schema(report, schema)
 
@@ -332,21 +310,66 @@ def cmd_report(metrics_dir: Path, out_path: Optional[Path] = None) -> int:
     return 0
 
 
+def _merge_report(metrics_dir: Path) -> dict:
+    manifest_file = metrics_dir / "manifest.json"
+    if not manifest_file.exists():
+        raise ReportError(f"no manifest.json in {metrics_dir}")
+    manifest = _read_json(manifest_file, ("manifest_key", "version", "config"))
+    key = manifest["manifest_key"]
+
+    series = {}
+    rows = {"summary.json": [], "timings.json": []}
+    for path in sorted(metrics_dir.iterdir()):
+        if path.name.startswith("metrics_") and path.suffix == ".csv":
+            series[path.stem] = _read_series_csv(path, key)
+        elif path.name in rows:
+            blob = _read_json(path, ("manifest_key", "rows"))
+            _check_key(path, blob["manifest_key"], key)
+            rows[path.name] = blob["rows"]
+
+    return {
+        "manifest_key": key,
+        "version": manifest["version"],
+        "config": manifest["config"],
+        "summary": rows["summary.json"],
+        "timings": rows["timings.json"],
+        "series": series,
+    }
+
+
+def _check_key(path: Path, key, expect_key: str) -> None:
+    if key != expect_key:
+        raise ReportError(
+            f"{path}: manifest key {key!r} does not match manifest.json's {expect_key!r}"
+        )
+
+
+def _read_json(path: Path, required: Sequence[str]) -> dict:
+    """A JSON object that holds every ``required`` key."""
+    try:
+        blob = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ReportError(f"{path}: not valid JSON ({exc})") from exc
+    missing = [k for k in required if not isinstance(blob, dict) or k not in blob]
+    if missing:
+        raise ReportError(f"{path}: missing keys {missing}")
+    return blob
+
+
 def _read_series_csv(path: Path, expect_key: str) -> dict:
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("# manifest: "):
-        raise ValueError(f"{path}: missing manifest comment line")
-    key = lines[0].split(": ", 1)[1]
-    if key != expect_key:
-        raise ValueError(
-            f"{path}: manifest key {key!r} does not match {expect_key!r}"
-        )
+        raise ReportError(f"{path}: missing '# manifest:' line")
+    _check_key(path, lines[0].split(": ", 1)[1], expect_key)
     reader = csv.reader(lines[1:])
-    header = next(reader)
-    columns: dict[str, list] = {name: [] for name in header}
-    for row in reader:
-        for name, val in zip(header, row):
-            columns[name].append(float(val))
+    try:
+        header = next(reader)
+        columns: dict[str, list] = {name: [] for name in header}
+        for row in reader:
+            for name, val in zip(header, row):
+                columns[name].append(float(val))
+    except (StopIteration, ValueError) as exc:
+        raise ReportError(f"{path}: not a series table ({exc!r})") from exc
     return columns
 
 

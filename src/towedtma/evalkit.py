@@ -91,9 +91,13 @@ def mean_wall_time(summaries: Sequence) -> float:
 
 @dataclass
 class BenchmarkRow:
-    """One (filter, case, mode) cell of the benchmark table."""
+    """One (filter, case, mode) cell of the benchmark table.
 
-    filter_kind: str
+    Its ``dataclasses.asdict`` is the row of ``summary.json`` and
+    ``timings.json``, so field order is key order.
+    """
+
+    filter: str
     case: str
     mode: str
     n_runs: int
@@ -104,19 +108,7 @@ class BenchmarkRow:
 
     @property
     def cell(self) -> tuple[str, str, str]:
-        return self.filter_kind, self.case, self.mode
-
-    def to_dict(self) -> dict:
-        return {
-            "filter": self.filter_kind,
-            "case": self.case,
-            "mode": self.mode,
-            "n_runs": self.n_runs,
-            "track_loss_pct": self.track_loss_pct,
-            "mean_wall_s": self.mean_wall_s,
-            "terminal_rmse_pos_km": self.terminal_rmse_pos_km,
-            "rel_exec_time": self.rel_exec_time,
-        }
+        return self.filter, self.case, self.mode
 
 
 def benchmark_row(
@@ -132,7 +124,7 @@ def benchmark_row(
     except EmptySeriesError:
         terminal = float("nan")
     return BenchmarkRow(
-        filter_kind=filter_kind,
+        filter=filter_kind,
         case=case,
         mode=mode,
         n_runs=len(summaries),

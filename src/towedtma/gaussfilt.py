@@ -85,11 +85,6 @@ class UpdateOutcome:
     innov_cov: float
     log_likelihood: float
 
-    @property
-    def likelihood(self) -> float:
-        """Linear measurement likelihood; underflows to 0 far in the tails."""
-        return math.exp(self.log_likelihood)
-
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -142,20 +137,17 @@ def chol_psd(P: np.ndarray) -> np.ndarray:
             ) from exc
 
 
-def unscented_points(belief: GaussianBelief, kappa: Optional[float] = None) -> WeightedPointSet:
+def unscented_points(belief: GaussianBelief) -> WeightedPointSet:
     """Standard unscented transform: 2n+1 points at mean +/- sqrt(n+k) L.
 
-    The default is Julier's heuristic n + kappa = 3, matching the Gaussian
+    kappa is Julier's heuristic n + kappa = 3, matching the Gaussian
     fourth moment. For the 4- and 5-dim states used here the center weight
     goes negative; the transform stays moment-correct and in practice
     tracks better than the kappa = 0 fallback, so the heuristic is kept for
     all n.
     """
     n = belief.dim
-    if kappa is None:
-        kappa = 3.0 - n
-    if n + kappa <= 0:
-        raise ValueError(f"n + kappa must be positive, got {n + kappa}")
+    kappa = 3.0 - n
     L = chol_psd(belief.cov)
     scale = np.sqrt(n + kappa)
     pts = np.empty((2 * n + 1, n))
@@ -197,16 +189,14 @@ def _gauss_hermite_grid(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, w
 
 
-def gauss_hermite_points(belief: GaussianBelief, order: int = 3) -> WeightedPointSet:
-    """Tensor-product Gauss-Hermite grid of order**n points.
+def gauss_hermite_points(belief: GaussianBelief) -> WeightedPointSet:
+    """Third-order tensor-product Gauss-Hermite grid of 3**n points.
 
     Univariate abscissae for the standard normal weight are mapped through
     mean + L xi, with weights the products of the univariate weights. The
     weights array is shared between calls and read-only.
     """
-    if order < 2:
-        raise ValueError(f"Gauss-Hermite order must be >= 2, got {order}")
-    xi, w = _gauss_hermite_grid(order, belief.dim)
+    xi, w = _gauss_hermite_grid(3, belief.dim)
     L = chol_psd(belief.cov)
     pts = belief.mean + xi @ L.T
     return WeightedPointSet(points=pts, weights=w)

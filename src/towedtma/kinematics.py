@@ -50,10 +50,6 @@ class ObserverState:
     heading: float
 
     @property
-    def pos(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    @property
     def vel(self) -> np.ndarray:
         return np.array([self.vx, self.vy])
 

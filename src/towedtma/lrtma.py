@@ -53,7 +53,6 @@ class InitPrior:
     r_bar: float
     s_bar: float
     sigma_psi: float = np.deg2rad(3.5)
-    psi_bar: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("sigma_r", "sigma_theta", "sigma_s", "sigma_c"):
@@ -95,7 +94,7 @@ def init_side(
     velocity mean assumes the prior speed on the closing course
     (bearing + pi) minus the known observer velocity. The covariance is
     the polar prior pushed through the linearized polar-to-Cartesian map.
-    In CT mode the turn-rate component is appended from the prior.
+    In CT mode the turn-rate component is appended with zero mean.
     """
     th = first_bearing
     cbar = sensing.wrap_angle(th + np.pi)
@@ -123,24 +122,8 @@ def init_side(
     mean[0:2], mean[2:4] = pos, vel
     cov[0:2, 0:2], cov[2:4, 2:4] = Ppos, Pvel
     if model.kind == CT:
-        mean[4] = prior.psi_bar
         cov[4, 4] = prior.sigma_psi**2
     return GaussianBelief(mean=mean, cov=cov)
-
-
-def likelihood(y: float, pred: float, innov_cov: float) -> float:
-    """Scalar Gaussian measurement likelihood with a wrapped residual.
-
-    The exponential of the log-likelihood that the side updates report.
-    """
-    if innov_cov <= 0:
-        raise ValueError(f"innovation covariance must be positive, got {innov_cov}")
-    r = sensing.wrap_angle(y - pred)
-    return math.exp(gaussfilt.normal_log_pdf(r, innov_cov))
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
 
 
 def _logistic(x: float) -> float:
@@ -170,20 +153,6 @@ def update_log_odds(log_odds: float, ll1: float, ll2: float) -> float:
     """
     post = log_odds + (ll1 - ll2)
     return log_odds if math.isnan(post) else post
-
-
-def update_weights(
-    w_prev: tuple[float, float], p1: float, p2: float
-) -> tuple[float, float]:
-    """Bayes-recursive weight update over the two side hypotheses.
-
-    Linear-domain front end of :func:`update_log_odds`: weights and
-    likelihoods are taken to logs, so numerators that would underflow still
-    keep their ratio. Exactly-zero prior weights stay zero, and if both
-    numerators are exactly zero the previous weights are kept.
-    """
-    w1, w2 = w_prev
-    return side_weights(update_log_odds(_log(w1) - _log(w2), _log(p1), _log(p2)))
 
 
 def fuse(

@@ -33,6 +33,7 @@ from .sensing import BearingPair
 RESOLVED = "resolved"
 KNOWN_SIDE = "known-side"
 MODES = (RESOLVED, KNOWN_SIDE)
+MAX_HORIZON = 10_000
 
 
 class ConfigError(ValueError):
@@ -144,6 +145,9 @@ class ScenarioConfig:
               "must be an InitPriorConfig, got {!r}", self.init_prior)
         _need(self.T > 0, "T", "sampling time must be positive, got {}", self.T)
         _need(self.horizon >= 2, "horizon", "must be at least 2 steps, got {}", self.horizon)
+        # every per-run array is sized by the horizon
+        _need(self.horizon <= MAX_HORIZON, "horizon",
+              "must be at most {} steps, got {}", MAX_HORIZON, self.horizon)
         _need(self.target_speed_kn > 0, "target_speed_kn", "speed must be positive")
         _need(self.observer_speed_kn > 0, "observer_speed_kn", "speed must be positive")
         _need(0 < self.maneuver_start_min, "maneuver_start_min",
@@ -181,7 +185,7 @@ class ScenarioConfig:
     def true_turn_rate(self) -> float:
         # positive config rate = clockwise course change; the rotation-rate
         # state of the CT transition is its negative
-        return -float(np.deg2rad(self.target_turn_rate_deg_min)) / 1.0
+        return -float(np.deg2rad(self.target_turn_rate_deg_min))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -464,7 +468,7 @@ def _drawn_side(
     mean[0:2] = r * np.array([np.sin(th), np.cos(th)])
     mean[2:4] = s * np.array([np.sin(c), np.cos(c)]) - obs.vel
     if model.kind == CT:
-        mean[4] = prior.psi_bar + sign * prior.sigma_psi * z[4]
+        mean[4] = sign * prior.sigma_psi * z[4]
     cov = lrtma.init_side(bearing, prior, obs, model).cov
     return GaussianBelief(mean=mean, cov=cov)
 

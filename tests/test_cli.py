@@ -10,7 +10,6 @@ from towedtma.cli import (
     config_key,
     parse_config,
     validate_schema,
-    write_config,
 )
 from towedtma.simkit import ScenarioConfig
 
@@ -89,6 +88,8 @@ class TestParseConfig:
             ('{"seed": 1.5}', [], "seed"),
             ('{"n_runs": true}', [], "n_runs"),
             ("{}", ["--seed", "-1"], "seed"),
+            pytest.param('{"horizon": 1%s}' % ("0" * 400), [], "horizon", id="horizon-401-digits"),
+            ('{"horizon": 10001}', [], "horizon"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, text, extra, field):
@@ -98,6 +99,21 @@ class TestParseConfig:
         assert cli.main(["track", "--config", str(p), "--out", str(out)] + extra) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", ["{", '{"horizon": 1%s}' % ("0" * 5000)], ids=["truncated", "int-5001-digits"]
+    )
+    def test_unreadable_json_exits_2_naming_file(self, tmp_path, capsys, text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert cli.main(["track", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {p}: " in capsys.readouterr().err
+
+    def test_horizon_cap_is_inclusive(self):
+        cfg = config_from_dict({"horizon": 10_000})
+        assert cfg.horizon == 10_000
+        with pytest.raises(ConfigError, match="horizon: must be at most 10000 steps"):
+            config_from_dict({"horizon": 10_001})
 
     def test_config_from_dict_leaves_argument_unchanged(self):
         data = {"init_prior": {"sigma_r_km": 3.0}, "q1": 1e-6}
@@ -116,7 +132,7 @@ class TestParseConfig:
             initial_bearing_deg=33.0,
         )
         p = tmp_path / "cfg.json"
-        write_config(cfg, p)
+        p.write_text(json.dumps(cfg.to_dict()))
         assert parse_config(p) == cfg
 
     def test_hash_stable_under_key_order(self, tmp_path):
@@ -310,6 +326,59 @@ class TestReportCommand:
 
     def test_missing_manifest(self, tmp_path):
         assert cli.cmd_report(tmp_path) == 2
+
+    @staticmethod
+    def _refused(mdir, capsys, culprit):
+        assert cli.main(["report", str(mdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("report error: ")
+        assert str(mdir / culprit) in err
+        assert not (mdir / "report.json").exists()
+
+    def test_main_refuses_series_from_another_seed(self, tmp_path, capsys):
+        name = "metrics_ekf_cv_resolved.csv"
+        for seed, d in ((0, "a"), (5, "b")):
+            cli.cmd_montecarlo(
+                small_cfg(n_runs=3, seed=seed), tmp_path / d,
+                filters=["ekf"], cases=["cv"], modes=["resolved"],
+            )
+        (tmp_path / "a" / name).write_text((tmp_path / "b" / name).read_text())
+        capsys.readouterr()
+        self._refused(tmp_path / "a", capsys, name)
+
+    def test_main_refuses_manifest_without_key(self, tmp_path, capsys):
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), tmp_path, filters=["ekf"], cases=["cv"], modes=["resolved"]
+        )
+        (tmp_path / "manifest.json").write_text("{}")
+        capsys.readouterr()
+        self._refused(tmp_path, capsys, "manifest.json")
+
+    @pytest.mark.parametrize(
+        "keep_lines, bad_cell", [(1, None), (None, "abc")], ids=["no-header", "non-numeric"]
+    )
+    def test_main_refuses_unreadable_series(self, tmp_path, capsys, keep_lines, bad_cell):
+        name = "metrics_ekf_cv_resolved.csv"
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), tmp_path, filters=["ekf"], cases=["cv"], modes=["resolved"]
+        )
+        csv_path = tmp_path / name
+        lines = csv_path.read_text().splitlines(True)[:keep_lines]
+        if bad_cell:
+            lines[2] = bad_cell + lines[2][lines[2].index(","):]
+        csv_path.write_text("".join(lines))
+        capsys.readouterr()
+        self._refused(tmp_path, capsys, name)
+
+    def test_main_refuses_series_without_manifest_line(self, tmp_path, capsys):
+        name = "metrics_ekf_cv_resolved.csv"
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), tmp_path, filters=["ekf"], cases=["cv"], modes=["resolved"]
+        )
+        csv_path = tmp_path / name
+        csv_path.write_text("".join(csv_path.read_text().splitlines(True)[1:]))
+        capsys.readouterr()
+        self._refused(tmp_path, capsys, name)
 
     def test_schema_validator_catches_missing_key(self):
         schema = {"type": "object", "required": ["x"]}

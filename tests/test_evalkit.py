@@ -135,8 +135,7 @@ class TestBenchmarkRow:
         assert row.terminal_rmse_pos_km == pytest.approx(0.5)
         assert row.mean_wall_s == pytest.approx(2.0)
         assert row.n_runs == 4
-        d = row.to_dict()
-        assert d["filter"] == "ekf" and d["mode"] == "resolved"
+        assert row.cell == ("ekf", "cv", "resolved")
 
     def test_all_lost_has_nan_rmse(self):
         sums = [summary([[9.0, 9.0]], term_err=9.0, diverged=True) for _ in range(3)]

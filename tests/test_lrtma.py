@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towedtma import gaussfilt, kinematics, lrtma, sensing, simkit
-from towedtma.gaussfilt import EKF, UKF, GaussianBelief
+from towedtma.gaussfilt import EKF, UKF, GaussianBelief, normal_log_pdf
 from towedtma.kinematics import CT, CV, KNOT, MotionModel, ObserverState
 from towedtma.lrtma import (
     InitPrior,
     fuse,
     init_bank,
     init_side,
-    likelihood,
     side_weights,
     step,
     update_log_odds,
-    update_weights,
 )
 from towedtma.sensing import BearingPair, wrap_angle
 
@@ -119,51 +117,55 @@ class TestInitSide:
 
 
 class TestLikelihood:
+    # the bank weighs sides by the update's log-likelihood: a scalar normal
+    # log-density of the wrapped innovation
+
     def test_peak_value(self):
         s = 0.01
-        assert likelihood(0.4, 0.4, s) == pytest.approx(1.0 / np.sqrt(2 * np.pi * s))
+        assert normal_log_pdf(0.0, s) == pytest.approx(-0.5 * np.log(2 * np.pi * s))
 
     def test_one_sigma_ratio(self):
         s = 0.02
-        peak = likelihood(0.0, 0.0, s)
-        assert likelihood(np.sqrt(s), 0.0, s) == pytest.approx(peak * np.exp(-0.5))
+        peak = normal_log_pdf(0.0, s)
+        assert normal_log_pdf(np.sqrt(s), s) == pytest.approx(peak - 0.5)
 
     def test_wrap_invariance(self):
-        s = 0.01
-        assert likelihood(0.3 + 2 * np.pi, 0.3, s) == pytest.approx(
-            likelihood(0.3, 0.3, s), rel=1e-9
-        )
-
-    def test_rejects_nonpositive_covariance(self):
-        with pytest.raises(ValueError):
-            likelihood(0.1, 0.0, 0.0)
+        b = GaussianBelief(np.array([3.0, 4.0, 0.0, 0.0]), np.diag([0.2, 0.3, 1e-3, 1e-3]))
+        out = gaussfilt.update(b, 0.9, 0.02, EKF)
+        wrapped = gaussfilt.update(b, 0.9 + 2 * np.pi, 0.02, EKF)
+        assert wrapped.log_likelihood == pytest.approx(out.log_likelihood, rel=1e-9)
 
     def test_matches_update_log_likelihood(self):
-        # the bank weighs sides by the update's log-likelihood; the linear
-        # likelihood is its exponential
         b = GaussianBelief(np.array([3.0, 4.0, 0.0, 0.0]), np.diag([0.2, 0.3, 1e-3, 1e-3]))
         y = 0.9
         out = gaussfilt.update(b, y, 0.02, EKF)
-        assert likelihood(y, out.pred_meas, out.innov_cov) == pytest.approx(
-            np.exp(out.log_likelihood), rel=1e-12
-        )
+        resid = wrap_angle(y - out.pred_meas)
+        assert normal_log_pdf(resid, out.innov_cov) == out.log_likelihood
+
+
+def bayes_weights(w, p1, p2):
+    """Posterior weights from prior weights and linear likelihoods, by the
+    bank's log-domain recursion (log 0 = -inf)."""
+    with np.errstate(divide="ignore"):
+        lw1, lw2, ll1, ll2 = map(float, np.log([w[0], w[1], p1, p2]))
+    return side_weights(update_log_odds(lw1 - lw2, ll1, ll2))
 
 
 class TestUpdateWeights:
     def test_symmetric(self):
-        assert update_weights((0.5, 0.5), 3.0, 3.0) == (0.5, 0.5)
+        assert bayes_weights((0.5, 0.5), 3.0, 3.0) == (0.5, 0.5)
 
     def test_two_to_one(self):
-        w1, w2 = update_weights((0.5, 0.5), 2.0, 1.0)
+        w1, w2 = bayes_weights((0.5, 0.5), 2.0, 1.0)
         assert w1 == pytest.approx(2.0 / 3.0)
         assert w2 == pytest.approx(1.0 / 3.0)
 
     def test_absorbing_zero(self):
-        assert update_weights((1.0, 0.0), 0.0, 5.0) == (1.0, 0.0)
-        assert update_weights((0.0, 1.0), 5.0, 0.0) == (0.0, 1.0)
+        assert bayes_weights((1.0, 0.0), 0.0, 5.0) == (1.0, 0.0)
+        assert bayes_weights((0.0, 1.0), 5.0, 0.0) == (0.0, 1.0)
 
     def test_underflow_floor(self):
-        w1, w2 = update_weights((0.5, 0.5), 0.0, 0.0)
+        w1, w2 = bayes_weights((0.5, 0.5), 0.0, 0.0)
         assert w1 + w2 == pytest.approx(1.0)
         assert w1 == pytest.approx(0.5)
 
@@ -171,7 +173,7 @@ class TestUpdateWeights:
         # the ghost's weight is already below 1e-300, then a bad innovation
         # drops the true side's likelihood as well: both numerators p * w
         # are under 1e-300, but their ratio still puts the true side ahead
-        w1, w2 = update_weights((1.0, 1e-310), 1e-305, 1e-2)
+        w1, w2 = bayes_weights((1.0, 1e-310), 1e-305, 1e-2)
         n1, n2 = 1e-305 * 1.0, 1e-2 * 1e-310
         assert w2 == pytest.approx(n2 / (n1 + n2), rel=1e-6)
         assert w1 > 1.0 - 1e-6
@@ -183,7 +185,7 @@ class TestUpdateWeights:
     )
     @settings(max_examples=300, deadline=None)
     def test_simplex_preserved(self, w, p1, p2):
-        w1, w2 = update_weights((w, 1.0 - w), p1, p2)
+        w1, w2 = bayes_weights((w, 1.0 - w), p1, p2)
         assert 0.0 <= w1 <= 1.0
         assert 0.0 <= w2 <= 1.0
         assert w1 + w2 == pytest.approx(1.0, abs=1e-12)
