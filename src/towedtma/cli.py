@@ -293,16 +293,15 @@ class ReportError(ValueError):
 def cmd_report(metrics_dir: Path, out_path: Optional[Path] = None) -> int:
     """Merge one metrics directory into a consolidated, validated report.
 
-    A directory whose files lack their manifest key or disagree with
-    manifest.json is refused: exit 2 with one stderr line naming the file.
+    A directory whose files lack their manifest key, disagree with
+    manifest.json or hold a part of the wrong shape for the report schema
+    is refused: exit 2 with one stderr line naming the file.
     """
     try:
         report = _merge_report(metrics_dir)
     except ReportError as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
-    schema = json.loads(_schema_path().read_text())
-    validate_schema(report, schema)
 
     out_path = out_path or metrics_dir / "report.json"
     out_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -311,10 +310,14 @@ def cmd_report(metrics_dir: Path, out_path: Optional[Path] = None) -> int:
 
 
 def _merge_report(metrics_dir: Path) -> dict:
+    """The report, each part checked against the schema as its file is read."""
     manifest_file = metrics_dir / "manifest.json"
     if not manifest_file.exists():
         raise ReportError(f"no manifest.json in {metrics_dir}")
+    schema = json.loads(_schema_path().read_text())["properties"]
     manifest = _read_json(manifest_file, ("manifest_key", "version", "config"))
+    for name in ("manifest_key", "version", "config"):
+        _check_schema(manifest_file, manifest[name], schema, name)
     key = manifest["manifest_key"]
 
     series = {}
@@ -325,6 +328,7 @@ def _merge_report(metrics_dir: Path) -> dict:
         elif path.name in rows:
             blob = _read_json(path, ("manifest_key", "rows"))
             _check_key(path, blob["manifest_key"], key)
+            _check_schema(path, blob["rows"], schema, path.stem)
             rows[path.name] = blob["rows"]
 
     return {
@@ -335,6 +339,13 @@ def _merge_report(metrics_dir: Path) -> dict:
         "timings": rows["timings.json"],
         "series": series,
     }
+
+
+def _check_schema(path: Path, obj, properties: dict, name: str) -> None:
+    try:
+        validate_schema(obj, properties[name], f"report.{name}")
+    except ValueError as exc:
+        raise ReportError(f"{path}: {exc}") from exc
 
 
 def _check_key(path: Path, key, expect_key: str) -> None:

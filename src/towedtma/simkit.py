@@ -17,8 +17,10 @@ import functools
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -505,6 +507,30 @@ def _mc_chunk(cfg: ScenarioConfig, mode: str, start: int, stop: int) -> list[Run
     ]
 
 
+# The process's Monte Carlo worker pool and its size. The first pooled
+# run_monte_carlo call starts it; concurrent.futures joins its workers
+# when the interpreter exits.
+_POOL: Optional[tuple[int, ProcessPoolExecutor]] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The pool of ``workers`` processes, replacing one of another size."""
+    global _POOL
+    if _POOL is not None and _POOL[0] != workers:
+        _close_pool()
+    if _POOL is None:
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[1]
+
+
+def _close_pool() -> None:
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown(wait=True)
+
+
 def run_monte_carlo(
     cfg: ScenarioConfig,
     mode: str = RESOLVED,
@@ -514,20 +540,35 @@ def run_monte_carlo(
 
     The result is a pure function of (config, master seed); the worker
     count only changes how the runs are scheduled. The pool never holds
-    more processes than the machine has CPUs.
+    more processes than the machine has CPUs. It is started by the first
+    pooled call, reused by later calls with the same worker count and
+    lives until the interpreter exits; its workers are forked then, so
+    they do not see later changes to the parent's modules. Pooled calls
+    from several threads run one at a time.
     """
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or cfg.n_runs < 4:
         return _mc_chunk(cfg, mode, 0, cfg.n_runs)
     n_chunks = min(workers * 4, cfg.n_runs)
     bounds = np.linspace(0, cfg.n_runs, n_chunks + 1).astype(int)
-    out: list[RunSummary] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_mc_chunk, cfg, mode, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+    def submit() -> list:
+        pool = _pool(workers)
+        return [pool.submit(_mc_chunk, cfg, mode, a, b) for a, b in chunks]
+
+    with _POOL_LOCK:
+        try:
+            futures = submit()
+        except BrokenProcessPool:
+            # a worker died since the last call and the pool refuses work;
+            # the runs depend on their seeds alone, so a fresh pool gives
+            # the same summaries
+            _close_pool()
+            futures = submit()
+        try:
+            return [s for fut in futures for s in fut.result()]
+        except BrokenProcessPool:
+            # a worker died during this call: it fails, the next starts afresh
+            _close_pool()
+            raise

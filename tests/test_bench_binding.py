@@ -11,10 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from towedtma import lrtma, simkit
+from towedtma import cli, lrtma, simkit
 
 BENCH_DIR = str(Path(__file__).resolve().parents[1] / "benchmarks")
 CELLS = (("ekf", "cv"), ("ckf", "ct"), ("ghf", "cv"), ("srf", "cv"))
+MODE_CELLS = {("ekf", "cv", "resolved"), ("ekf", "cv", "known-side")}
+
+
+def _montecarlo(out_dir) -> int:
+    """A 2-cell ``towedtma montecarlo`` with a 2-worker pool."""
+    return cli.main(["montecarlo", "--filter", "ekf", "--case", "cv", "--mode", "all",
+                     "--workers", "2", "--runs", "4", "--out", str(out_dir)])
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +83,40 @@ def test_harness_wrappers_tag_the_tracker(harness):
     checks.check_point_sets(found, tr.captures["gaussfilt.points_for"])
     checks.check_srf_moments(found, tr.captures["gaussfilt.shifted_rayleigh_moments"])
     assert found.ok, found.results
+
+
+def test_cell_timer_sees_each_cli_cell(harness, tmp_path):
+    # the cli-table-pool workload swaps in a timer of signature
+    # (cfg, mode, workers=1) and keeps one entry per cell
+    _, _, workloads = harness
+    original = simkit.run_monte_carlo
+    wl = workloads.CliTablePool(seed=1, out_dir=tmp_path)
+    wl.speed = workloads.calib.Speed()
+    calls = []
+    with wl._cell_timer():
+        timed = simkit.run_monte_carlo
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return timed(*args, **kwargs)
+
+        # the timer puts the original back when it exits
+        simkit.run_monte_carlo = recorder
+        assert _montecarlo(tmp_path / "table") == 0
+    assert simkit.run_monte_carlo is original
+    assert [(len(args), sorted(kwargs)) for args, kwargs in calls] == [
+        (1, ["mode", "workers"])] * len(MODE_CELLS)
+    assert set(wl._round_cell) == MODE_CELLS
+
+
+def test_tracer_tags_cli_cells_by_mode(harness, tmp_path):
+    _, tracer, workloads = harness
+    tr = tracer.Tracer()
+    workloads.CliTablePool(seed=1, out_dir=tmp_path).wrap(tr)
+    try:
+        with tr.root():
+            assert _montecarlo(tmp_path / "table") == 0
+    finally:
+        tr.restore()
+    tags = set(tr.summary().tags_of("simkit.run_monte_carlo"))
+    assert tags == {".".join(cell) for cell in MODE_CELLS}

@@ -380,6 +380,27 @@ class TestReportCommand:
         capsys.readouterr()
         self._refused(tmp_path, capsys, name)
 
+    @pytest.mark.parametrize(
+        "culprit, key, value",
+        [
+            ("summary.json", "rows", 5),
+            ("timings.json", "rows", 5),
+            ("summary.json", "rows", [{"filter": "ekf"}]),
+            ("timings.json", "rows", ["ekf"]),
+            ("manifest.json", "config", 5),
+            ("manifest.json", "version", None),
+        ],
+    )
+    def test_main_refuses_part_of_wrong_shape(self, tmp_path, capsys, culprit, key, value):
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), tmp_path, filters=["ekf"], cases=["cv"], modes=["resolved"]
+        )
+        blob = json.loads((tmp_path / culprit).read_text())
+        blob[key] = value
+        (tmp_path / culprit).write_text(json.dumps(blob))
+        capsys.readouterr()
+        self._refused(tmp_path, capsys, culprit)
+
     def test_schema_validator_catches_missing_key(self):
         schema = {"type": "object", "required": ["x"]}
         with pytest.raises(ValueError, match="missing required key 'x'"):

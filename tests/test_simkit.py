@@ -1,13 +1,21 @@
 import dataclasses
 import math
+import multiprocessing
 import os
 import re
-from concurrent.futures import Future
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from towedtma import gaussfilt, kinematics, lrtma, sensing, simkit
+import towedtma
+from towedtma import cli, gaussfilt, kinematics, lrtma, sensing, simkit
 from towedtma.gaussfilt import FILTER_KINDS
 from towedtma.kinematics import CT, CV, KNOT
 from towedtma.simkit import (
@@ -268,36 +276,37 @@ class TestMonteCarlo:
             run_monte_carlo(ScenarioConfig(n_runs=0))
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # a stand-in pool that records its size and runs each chunk in-process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
+        log = []
+        monkeypatch.setattr(simkit, "_POOL", None)
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", _inline_pool(log))
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
         serial = run_monte_carlo(cfg)
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         pooled = run_monte_carlo(cfg, workers=64)
-        assert sizes == [3]
+        assert log == [("start", 3)]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert len(run_monte_carlo(cfg, workers=64)) == cfg.n_runs
-        assert sizes == [3]
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.pos_err, b.pos_err)
-            assert a.terminal_range_error == b.terminal_range_error
+        assert log == [("start", 3)]
+        assert _summary_bytes(serial) == _summary_bytes(pooled)
+        # another worker count joins the old pool before starting its own
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_monte_carlo(cfg, workers=64)
+        assert log == [("start", 3), ("shutdown", True), ("start", 2)]
+
+    def test_broken_pool_fails_the_call_and_is_dropped(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(simkit, "_POOL", None)
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", _inline_pool(log, broken_chunk=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
+        with pytest.raises(BrokenProcessPool):
+            run_monte_carlo(cfg, workers=2)
+        assert simkit._POOL is None
+        assert log == [("start", 2), ("shutdown", True)]
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", _inline_pool(log))
+        assert _summary_bytes(run_monte_carlo(cfg, workers=2)) == _summary_bytes(
+            run_monte_carlo(cfg))
+        assert log[2:] == [("start", 2)]
 
     def test_injected_failure_flags_only_its_run(self, monkeypatch):
         cfg = ScenarioConfig(filter_kind="ukf", model_kind=CT, n_runs=4)
@@ -333,3 +342,104 @@ class TestMonteCarlo:
                     a.diverged, a.failed, a.failure) == (
                 b.terminal_range_error, b.terminal_max_weight, b.first_decided_step,
                 b.diverged, b.failed, b.failure)
+
+
+def _summary_bytes(sums) -> list:
+    """Every summary field but the wall time, exactly."""
+    return [
+        [v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+         for k, v in vars(s).items() if k != "wall_time"]
+        for s in sums
+    ]
+
+
+def _inline_pool(log: list, broken_chunk: int = -1):
+    """Stand-in executor that runs each chunk in-process and logs its life;
+    the future of chunk ``broken_chunk`` fails as if its worker died."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            log.append(("start", max_workers))
+            self.chunks = 0
+
+        def submit(self, fn, *args):
+            fut = Future()
+            if self.chunks == broken_chunk:
+                fut.set_exception(BrokenProcessPool("worker died"))
+            else:
+                fut.set_result(fn(*args))
+            self.chunks += 1
+            return fut
+
+        def shutdown(self, wait=True):
+            log.append(("shutdown", wait))
+
+    return InlinePool
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No cached pool to start with; the pool the test starts is joined at its end."""
+    monkeypatch.setattr(simkit, "_POOL", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    yield
+    simkit._close_pool()
+
+
+def _worker_pids_gone(pids, timeout_s: float = 30.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while any(os.path.exists(f"/proc/{pid}") for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>")
+class TestWorkerPool:
+    def test_one_pool_per_process(self, fresh_pool, monkeypatch, tmp_path):
+        sizes = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", CountingPool)
+        cfg = ScenarioConfig(filter_kind="ekf", n_runs=4)
+        run_monte_carlo(cfg, workers=2)
+        run_monte_carlo(cfg, mode=KNOWN_SIDE, workers=2)
+        argv = ["montecarlo", "--filter", "ekf,srf,ckf", "--case", "cv", "--mode", "resolved",
+                "--workers", "2", "--runs", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert sizes == [2]
+
+    def test_killed_worker_is_replaced(self, fresh_pool):
+        cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
+        serial = run_monte_carlo(cfg)
+        before = {p.pid for p in multiprocessing.active_children()}
+        assert _summary_bytes(run_monte_carlo(cfg, workers=2)) == _summary_bytes(serial)
+        pids = {p.pid for p in multiprocessing.active_children()} - before
+        assert len(pids) == 2
+        os.kill(min(pids), signal.SIGKILL)
+        # the pool notices the death and joins both of its workers
+        assert _worker_pids_gone(pids)
+        assert _summary_bytes(run_monte_carlo(cfg, workers=2)) == _summary_bytes(serial)
+
+    def test_workers_end_with_the_interpreter(self):
+        code = (
+            "import multiprocessing, os\n"
+            "from towedtma import simkit\n"
+            "os.cpu_count = lambda: 2\n"
+            "simkit.run_monte_carlo(simkit.ScenarioConfig(n_runs=4), workers=2)\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n"
+        )
+        src = str(Path(towedtma.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        pids = proc.stdout.split()
+        assert len(pids) == 2
+        assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
