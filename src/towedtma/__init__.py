@@ -19,7 +19,7 @@ from .gaussfilt import (
     GaussianBelief,
     UpdateOutcome,
 )
-from .kinematics import CT, CV, KNOT, MotionModel, ObserverState
+from .kinematics import CT, CV, KNOT, MODEL_KINDS, MotionModel, ObserverState
 from .lrtma import FilterBankState, InitPrior
 from .sensing import BearingPair, ZeroRangeError
 from .simkit import (
@@ -48,6 +48,7 @@ __all__ = [
     "InitPrior",
     "KNOT",
     "KNOWN_SIDE",
+    "MODEL_KINDS",
     "MotionModel",
     "ObserverState",
     "RESOLVED",

@@ -31,10 +31,12 @@ import numpy as np
 
 from . import __version__, evalkit, simkit
 from .gaussfilt import FILTER_KINDS
-from .kinematics import CT, CV
+from .kinematics import MODEL_KINDS
 from .simkit import MODES, RESOLVED, ConfigError, InitPriorConfig, ScenarioConfig
 
 BASELINE_CELL = ("ekf", "cv", "known-side")
+# track CSV names of the state components, cut to the model's dim
+_STATE_COLUMNS = ("x_km", "y_km", "vx_kmmin", "vy_kmmin", "psi_radmin")
 # BenchmarkRow fields that go to timings.json (with the cell) and not to
 # the byte-reproducible summary.json
 _CELL_FIELDS = ("filter", "case", "mode")
@@ -131,10 +133,7 @@ def cmd_track(cfg: ScenarioConfig, out_dir: Path, mode: str = RESOLVED) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rec = simkit.simulate_run(cfg, simkit.run_seed(cfg.seed, 0), mode=mode)
 
-    dim = cfg.motion_model().dim
-    state_cols = ["x_km", "y_km", "vx_kmmin", "vy_kmmin"] + (
-        ["psi_radmin"] if dim == 5 else []
-    )
+    state_cols = _STATE_COLUMNS[: cfg.motion_model().dim]
     header = (
         ["t_min"]
         + [f"truth_{c}" for c in state_cols]
@@ -468,14 +467,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = dataclasses.replace(
                 cfg,
                 filter_kind=_one_choice(args.filter or cfg.filter_kind, FILTER_KINDS, "--filter"),
-                model_kind=_one_choice(args.case or cfg.model_kind, (CV, CT), "--case"),
+                model_kind=_one_choice(args.case or cfg.model_kind, MODEL_KINDS, "--case"),
             )
             mode = _one_choice(args.mode or RESOLVED, MODES, "--mode")
             return cmd_track(cfg, args.out, mode=mode)
 
         # montecarlo
         filters = _split_choice(args.filter or cfg.filter_kind, FILTER_KINDS, "--filter")
-        cases = _split_choice(args.case or cfg.model_kind, (CV, CT), "--case")
+        cases = _split_choice(args.case or cfg.model_kind, MODEL_KINDS, "--case")
         modes = _split_choice(args.mode or RESOLVED, MODES, "--mode")
         return cmd_montecarlo(
             cfg, args.out, filters, cases, modes, workers=args.workers

@@ -26,7 +26,7 @@ from numpy.polynomial import hermite_e
 from scipy.special import ndtr
 
 from . import kinematics, sensing
-from .kinematics import CV, MotionModel
+from .kinematics import MotionModel
 
 EKF = "ekf"
 UKF = "ukf"
@@ -228,7 +228,7 @@ def predict(
     through the process Jacobian. Sample-point filters propagate their
     point set, rebuild the first two moments, and subtract the input from
     the reconstructed mean. The SRF uses the exact linear propagation for
-    the CV model and cubature points for the CT model.
+    a linear model and cubature points otherwise.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
@@ -239,8 +239,7 @@ def predict(
         u = np.zeros(n)
     Q = kinematics.process_noise_cov(model)
 
-    linear = model.kind == CV
-    if kind == EKF or (kind == SRF and linear):
+    if kind == EKF or (kind == SRF and model.linear):
         F = kinematics.process_jacobian(model, belief.mean)
         mean = kinematics.transition(model, belief.mean) - u
         cov = F @ belief.cov @ F.T + Q
@@ -344,7 +343,6 @@ def srf_update(belief: GaussianBelief, y: float, noise_std: float) -> UpdateOutc
     it stays finite where the density itself underflows.
     """
     m, P = belief.mean, belief.cov
-    n = belief.dim
     zhat = m[:2]
     S = P[:2, :2]
     r2 = float(zhat @ zhat)

@@ -11,7 +11,8 @@ turn rate as a fifth state component; a positive turn rate rotates the
 velocity vector counter-clockwise in the east/north plane (equivalently,
 decreases the compass course).
 
-All functions here are pure and safe to call from concurrent workers.
+All functions here are pure and safe to call from concurrent workers. No
+other module branches on the model kind; they ask the MotionModel instead.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ KNOT = 1.852 / 60.0  # km/min
 
 CV = "cv"
 CT = "ct"
+MODEL_KINDS = (CV, CT)
 
 # Below this turn-rate magnitude the trigonometric ratios in the CT
 # transition are replaced by their Taylor limits (the exact expressions
@@ -63,7 +65,7 @@ class MotionModel:
     """Discrete-time motion model descriptor.
 
     Attributes:
-        kind: "cv" or "ct"
+        kind: one of MODEL_KINDS
         T: sampling interval (min)
         q1: white-noise intensity of the position/velocity block (km^2/min^3)
         q2: turn-rate noise intensity (1/min^3), used by the CT model only
@@ -75,7 +77,7 @@ class MotionModel:
     q2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (CV, CT):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown motion model kind {self.kind!r}")
         if not self.T > 0:
             raise ValueError(f"sampling interval must be positive, got {self.T}")
@@ -85,6 +87,10 @@ class MotionModel:
     @property
     def dim(self) -> int:
         return 4 if self.kind == CV else 5
+
+    @property
+    def linear(self) -> bool:
+        return self.kind == CV
 
 
 @functools.lru_cache(maxsize=32)
@@ -163,15 +169,15 @@ def observer_input(
     obs_prev: ObserverState,
     obs_now: ObserverState,
     model: MotionModel,
-    turn_rate: float = 0.0,
+    state: np.ndarray,
 ) -> np.ndarray:
     """Input vector capturing the observer's own acceleration over one step.
 
     Relative dynamics follow x_k = f(x_{k-1}) + noise - u, where u is the
     observer state minus its model-propagated previous state. For the CT
-    model the propagation uses ``turn_rate`` (a filter passes its current
-    turn-rate estimate; the truth generator passes the true rate); the
-    fifth component is always zero.
+    model the propagation uses the turn rate of ``state`` (a filter passes
+    its current estimate); the fifth component is always zero. The CV
+    input does not depend on ``state``.
 
     The result vanishes identically whenever the observer itself moves
     according to the model's homogeneous dynamics.
@@ -186,7 +192,7 @@ def observer_input(
                 obs_now.vy - obs_prev.vy,
             ]
         )
-    a, b, cs, sn = map(float, _ct_coeffs(turn_rate, T))
+    a, b, cs, sn = map(float, _ct_coeffs(float(state[4]), T))
     return np.array(
         [
             obs_now.x - obs_prev.x - a * obs_prev.vx + b * obs_prev.vy,

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import gaussfilt, kinematics, sensing
 from .gaussfilt import GaussianBelief, UpdateOutcome
-from .kinematics import CT, MotionModel, ObserverState
+from .kinematics import MotionModel, ObserverState
 from .sensing import BearingPair
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class InitPrior:
     sigma_c: float
     r_bar: float
     s_bar: float
-    sigma_psi: float = np.deg2rad(3.5)
+    sigma_psi: float
 
     def __post_init__(self) -> None:
         for name in ("sigma_r", "sigma_theta", "sigma_s", "sigma_c"):
@@ -94,7 +94,7 @@ def init_side(
     velocity mean assumes the prior speed on the closing course
     (bearing + pi) minus the known observer velocity. The covariance is
     the polar prior pushed through the linearized polar-to-Cartesian map.
-    In CT mode the turn-rate component is appended with zero mean.
+    A turn-rate component after the velocity (CT) gets zero mean.
     """
     th = first_bearing
     cbar = sensing.wrap_angle(th + np.pi)
@@ -121,8 +121,7 @@ def init_side(
     cov = np.zeros((n, n))
     mean[0:2], mean[2:4] = pos, vel
     cov[0:2, 0:2], cov[2:4, 2:4] = Ppos, Pvel
-    if model.kind == CT:
-        cov[4, 4] = prior.sigma_psi**2
+    cov[4:, 4:] = prior.sigma_psi**2
     return GaussianBelief(mean=mean, cov=cov)
 
 
@@ -201,12 +200,11 @@ def side_step(
 ) -> UpdateOutcome:
     """One recursion of a single side filter: observer input, predict, update.
 
-    The CT observer input is taken at the side's own turn-rate estimate.
+    The observer input is taken at the side's own state estimate.
     Raises FilterNumericsError on a non-finite posterior mean; other
     numerical failures of the filter propagate unchanged.
     """
-    turn_rate = float(belief.mean[4]) if model.kind == CT else 0.0
-    u = kinematics.observer_input(obs_prev, obs_now, model, turn_rate=turn_rate)
+    u = kinematics.observer_input(obs_prev, obs_now, model, belief.mean)
     prior = gaussfilt.predict(belief, model, u, filter_kind)
     out = gaussfilt.update(prior, y, noise_std, filter_kind)
     if not np.all(np.isfinite(out.posterior.mean)):

@@ -93,7 +93,7 @@ def measure(
     """
     theta = true_bearing(rel)
     y1 = wrap_angle(theta + noise_std * rng.standard_normal())
-    ghost = wrap_angle(2.0 * heading - y1)
+    ghost = ghost_bearing(y1, heading)
     return BearingPair(y1=float(y1), y2=float(ghost), heading=float(heading), t=t)
 
 
@@ -101,8 +101,8 @@ def reflect_state(state: np.ndarray, axis: float) -> np.ndarray:
     """Reflect a relative state across the line through the origin at
     compass angle ``axis``.
 
-    Position and velocity components reflect; a turn-rate component (fifth
-    entry, if present) changes sign because the turn sense is mirrored.
+    Position and velocity components reflect; a turn-rate component (after
+    the velocity, if present) changes sign because the turn sense is mirrored.
     """
     s = np.asarray(state, dtype=float)
     c2, s2 = np.cos(2.0 * axis), np.sin(2.0 * axis)
@@ -110,6 +110,5 @@ def reflect_state(state: np.ndarray, axis: float) -> np.ndarray:
     out = s.copy()
     out[0:2] = M @ s[0:2]
     out[2:4] = M @ s[2:4]
-    if len(s) == 5:
-        out[4] = -s[4]
+    out[4:] = -s[4:]
     return out

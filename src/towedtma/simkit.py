@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gaussfilt, kinematics, lrtma, sensing
 from .gaussfilt import FILTER_KINDS, GaussianBelief
-from .kinematics import CT, CV, KNOT, MotionModel, ObserverState
+from .kinematics import CV, KNOT, MODEL_KINDS, MotionModel, ObserverState
 from .lrtma import FilterBankState, InitPrior
 from .sensing import BearingPair
 
@@ -170,8 +170,8 @@ class ScenarioConfig:
         _need(self.track_bound_km > 0, "track_bound_km", "bound must be positive")
         _need(self.filter_kind in FILTER_KINDS, "filter_kind",
               "must be one of {}, got {!r}", FILTER_KINDS, self.filter_kind)
-        _need(self.model_kind in (CV, CT), "model_kind",
-              "must be 'cv' or 'ct', got {!r}", self.model_kind)
+        _need(self.model_kind in MODEL_KINDS, "model_kind",
+              "must be one of {}, got {!r}", MODEL_KINDS, self.model_kind)
 
     def motion_model(self) -> MotionModel:
         return MotionModel(kind=self.model_kind, T=self.T, q1=self.q1, q2=self.q2)
@@ -245,10 +245,21 @@ def gen_observer_track(cfg: ScenarioConfig) -> list[ObserverState]:
     return track
 
 
-@functools.lru_cache(maxsize=8)
+# the ScenarioConfig fields gen_observer_track reads
+_OBSERVER_FIELDS = (
+    "T", "horizon", "observer_speed_kn", "observer_course0_deg",
+    "observer_course_final_deg", "maneuver_start_min", "maneuver_end_min",
+)
+
+
 def _observer_track_cached(cfg: ScenarioConfig) -> tuple[ObserverState, ...]:
-    # the ownship track depends only on the config, not on the run seed
-    return tuple(gen_observer_track(cfg))
+    # configs that differ only in seed, run count, filter or case share a track
+    return _observer_track(tuple(getattr(cfg, name) for name in _OBSERVER_FIELDS))
+
+
+@functools.lru_cache(maxsize=8)
+def _observer_track(key: tuple) -> tuple[ObserverState, ...]:
+    return tuple(gen_observer_track(ScenarioConfig(**dict(zip(_OBSERVER_FIELDS, key)))))
 
 
 def gen_target_track(
@@ -270,8 +281,7 @@ def gen_target_track(
     track = np.zeros((cfg.horizon + 1, n))
     track[0, 0:2] = pos0
     track[0, 2:4] = vel0
-    if model.kind == CT:
-        track[0, 4] = cfg.true_turn_rate
+    track[0, 4:] = cfg.true_turn_rate
 
     Lq = None
     if rng is not None:
@@ -469,8 +479,7 @@ def _drawn_side(
     mean = np.zeros(model.dim)
     mean[0:2] = r * np.array([np.sin(th), np.cos(th)])
     mean[2:4] = s * np.array([np.sin(c), np.cos(c)]) - obs.vel
-    if model.kind == CT:
-        mean[4] = sign * prior.sigma_psi * z[4]
+    mean[4:] = sign * prior.sigma_psi * z[4]
     cov = lrtma.init_side(bearing, prior, obs, model).cov
     return GaussianBelief(mean=mean, cov=cov)
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,27 +106,33 @@ class TestCtTransition:
 class TestObserverInput:
     def test_stationary_observer_gives_zero(self):
         o = ObserverState(x=1.0, y=2.0, vx=0.0, vy=0.0, heading=0.0)
-        assert np.allclose(observer_input(o, o, cv_model()), 0.0)
+        assert np.allclose(observer_input(o, o, cv_model(), np.zeros(4)), 0.0)
 
     def test_exact_cv_motion_gives_zero(self):
+        # the CV input does not depend on the state passed
         T = 1.0
         o0 = ObserverState(x=1.0, y=2.0, vx=0.05, vy=-0.02, heading=0.3)
         o1 = ObserverState(
             x=o0.x + T * o0.vx, y=o0.y + T * o0.vy, vx=o0.vx, vy=o0.vy, heading=0.3
         )
-        assert np.allclose(observer_input(o0, o1, cv_model(T)), 0.0, atol=1e-15)
+        state = np.array([3.0, -1.0, 0.2, 0.1])
+        assert np.allclose(observer_input(o0, o1, cv_model(T), state), 0.0, atol=1e-15)
 
     def test_matched_turn_gives_zero(self):
-        # observer track built with the same rotation the formula assumes
+        # observer track built with the same rotation the formula assumes;
+        # the CT input takes the turn rate from the state's fifth component,
+        # not from its position or velocity
         psi, T = 0.04, 1.0
-        state = np.array([1.0, -0.5, 0.07, 0.11, psi])
-        nxt = ct_transition(state, T)
-        o0 = ObserverState(x=state[0], y=state[1], vx=state[2], vy=state[3], heading=0.0)
+        track = np.array([1.0, -0.5, 0.07, 0.11, psi])
+        nxt = ct_transition(track, T)
+        o0 = ObserverState(x=track[0], y=track[1], vx=track[2], vy=track[3], heading=0.0)
         o1 = ObserverState(x=nxt[0], y=nxt[1], vx=nxt[2], vy=nxt[3], heading=0.0)
-        u = observer_input(o0, o1, ct_model(T), turn_rate=psi)
+        u = observer_input(o0, o1, ct_model(T), np.array([3.0, -1.0, 0.2, 0.1, psi]))
         assert np.allclose(u, 0.0, atol=1e-14)
         assert u.shape == (5,)
         assert u[4] == 0.0
+        unturned = observer_input(o0, o1, ct_model(T), np.array([3.0, -1.0, 0.2, 0.1, 0.0]))
+        assert np.linalg.norm(unturned[:4]) > 1e-3
 
 
 class TestProcessNoiseCov:
@@ -196,3 +205,64 @@ class TestMotionModel:
     def test_dims(self):
         assert cv_model().dim == 4
         assert ct_model().dim == 5
+
+    def test_kinds_and_linearity(self):
+        assert kinematics.MODEL_KINDS == (CV, CT)
+        assert cv_model().linear
+        assert not ct_model().linear
+
+
+# names and literals that spell a motion-model case, or the CT state size
+_CASE_TOKENS = {"CV", "CT", "cv", "ct", 5}
+
+
+def _names_case(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in _CASE_TOKENS:
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr in _CASE_TOKENS:
+            return True
+        if (
+            isinstance(sub, ast.Constant)
+            and not isinstance(sub.value, bool)
+            and sub.value in _CASE_TOKENS
+        ):
+            return True
+    return False
+
+
+def _case_comparisons(path: Path) -> list[str]:
+    """``file:line in scope: source`` of each comparison naming a case."""
+    text = path.read_text()
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Compare) and any(
+                _names_case(op) for op in [child.left, *child.comparators]
+            ):
+                seg = ast.get_source_segment(text, child)
+                found.append(f"{path.name}:{child.lineno} in {scope or '<module>'}: {seg}")
+            visit(child, scope)
+
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_only_kinematics_branches_on_the_case():
+    # the motion model is the whole case spec: every other module asks the
+    # MotionModel (dim, linear, transition, observer_input) instead of
+    # comparing the kind or the state size itself
+    src = Path(kinematics.__file__).parent
+    sites = [
+        site
+        for path in sorted(src.glob("*.py"))
+        if path.name != "kinematics.py"
+        for site in _case_comparisons(path)
+    ]
+    assert not sites, "case decided outside kinematics:\n" + "\n".join(sites)
+    # the scan does see the comparisons kinematics itself makes
+    assert any("MotionModel.dim" in s for s in _case_comparisons(src / "kinematics.py"))

@@ -26,6 +26,7 @@ def default_prior():
         sigma_c=np.pi / np.sqrt(12.0),
         r_bar=5.0,
         s_bar=4.0 * KNOT,
+        sigma_psi=np.deg2rad(3.5),
     )
 
 
@@ -52,6 +53,7 @@ class TestInitSide:
             sigma_c=np.pi / np.sqrt(12.0),
             r_bar=5.0,
             s_bar=4.0 * KNOT,
+            sigma_psi=np.deg2rad(3.5),
         )
         b = init_side(0.7, prior, observer(), cv_model())
         assert np.allclose(b.cov[:2, :2], 0.0, atol=1e-20)

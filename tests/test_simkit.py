@@ -108,6 +108,39 @@ class TestObserverTrack:
         assert track[0].heading == pytest.approx(np.deg2rad(140.0))
         assert track[-1].heading == pytest.approx(np.deg2rad(20.0))
 
+    def test_cached_track_shared_across_seeds_filters_and_cases(self, monkeypatch):
+        calls = []
+        original = simkit.gen_observer_track
+
+        def counting(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(simkit, "gen_observer_track", counting)
+        simkit._observer_track.cache_clear()
+        for seed in (1, 2):
+            for kind in ("ekf", "srf"):
+                run_monte_carlo(ScenarioConfig(seed=seed, filter_kind=kind, n_runs=2))
+        simulate_run(ScenarioConfig(model_kind=CT, n_runs=3), 5)
+        assert len(calls) == 1
+        # an ownship field is part of the key
+        simulate_run(ScenarioConfig(observer_speed_kn=6.0), 5)
+        assert len(calls) == 2
+
+    def test_track_reads_only_its_cache_key_fields(self):
+        # the cache is keyed on these fields: a track that read another one
+        # would be shared by configs it differs between
+        cfg = ScenarioConfig()
+        read = set()
+
+        class Recorder:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(cfg, name)
+
+        assert gen_observer_track(Recorder()) == gen_observer_track(cfg)
+        assert read == set(simkit._OBSERVER_FIELDS)
+
 
 class TestTargetTrack:
     def test_cv_course_constant(self):
