@@ -57,10 +57,12 @@ def parse_config(path: str | Path) -> ScenarioConfig:
     values are rejected with field-precise messages. An empty file (or an
     empty JSON object) yields the default Case I configuration.
     """
-    raw = Path(path).read_text().strip()
     try:
+        raw = Path(path).read_text().strip()
         data = json.loads(raw) if raw else {}
-    except ValueError as exc:  # bad JSON, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, bad JSON, an int past Python's digit limit, or nesting
+        # past the decoder's recursion limit
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -358,7 +360,7 @@ def _read_json(path: Path, required: Sequence[str]) -> dict:
     """A JSON object that holds every ``required`` key."""
     try:
         blob = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # as in parse_config
         raise ReportError(f"{path}: not valid JSON ({exc})") from exc
     missing = [k for k in required if not isinstance(blob, dict) or k not in blob]
     if missing:
@@ -367,7 +369,10 @@ def _read_json(path: Path, required: Sequence[str]) -> dict:
 
 
 def _read_series_csv(path: Path, expect_key: str) -> dict:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except ValueError as exc:  # not UTF-8
+        raise ReportError(f"{path}: not a series table ({exc!r})") from exc
     if not lines or not lines[0].startswith("# manifest: "):
         raise ReportError(f"{path}: missing '# manifest:' line")
     _check_key(path, lines[0].split(": ", 1)[1], expect_key)

@@ -137,83 +137,48 @@ def chol_psd(P: np.ndarray) -> np.ndarray:
             ) from exc
 
 
-def unscented_points(belief: GaussianBelief) -> WeightedPointSet:
-    """Standard unscented transform: 2n+1 points at mean +/- sqrt(n+k) L.
-
-    kappa is Julier's heuristic n + kappa = 3, matching the Gaussian
-    fourth moment. For the 4- and 5-dim states used here the center weight
-    goes negative; the transform stays moment-correct and in practice
-    tracks better than the kappa = 0 fallback, so the heuristic is kept for
-    all n.
-    """
-    n = belief.dim
-    kappa = 3.0 - n
-    L = chol_psd(belief.cov)
-    scale = np.sqrt(n + kappa)
-    pts = np.empty((2 * n + 1, n))
-    pts[0] = belief.mean
-    pts[1 : n + 1] = belief.mean + scale * L.T
-    pts[n + 1 :] = belief.mean - scale * L.T
-    w = np.full(2 * n + 1, 1.0 / (2.0 * (n + kappa)))
-    w[0] = kappa / (n + kappa)
-    return WeightedPointSet(points=pts, weights=w)
-
-
-def cubature_points(belief: GaussianBelief) -> WeightedPointSet:
-    """Third-degree spherical-radial cubature: 2n equally weighted points."""
-    n = belief.dim
-    L = chol_psd(belief.cov)
-    scale = np.sqrt(n)
-    pts = np.empty((2 * n, n))
-    pts[:n] = belief.mean + scale * L.T
-    pts[n:] = belief.mean - scale * L.T
-    w = np.full(2 * n, 1.0 / (2.0 * n))
-    return WeightedPointSet(points=pts, weights=w)
-
-
 @functools.lru_cache(maxsize=16)
-def _gauss_hermite_grid(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard-normal abscissae (order**n, n) and weights of the tensor grid.
+def _unit_points(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit points xi (rows) and weights of a kind's point set at dim n.
 
-    Shared by every call with the same (order, n), so both are read-only.
+    A belief's set is mean + xi L^T with L its Cholesky factor. The UKF
+    takes the 2n+1 points 0, +/- sqrt(n+kappa) e_i with Julier's kappa =
+    3 - n (n + kappa = 3, the Gaussian fourth moment); at n = 4, 5 the
+    centre weight is negative, which stays moment-correct and tracks better
+    than kappa = 0. The CKF (and the SRF's CT prediction) takes the 2n
+    third-degree spherical-radial cubature points +/- sqrt(n) e_i, and the
+    GHF the third-order tensor-product Gauss-Hermite grid of 3**n points.
+    Both arrays are shared between calls and read-only.
     """
-    x1, w1 = hermite_e.hermegauss(order)
-    w1 = w1 / w1.sum()
-    idx = np.stack(
-        np.meshgrid(*([np.arange(order)] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    xi = x1[idx]
-    w = np.prod(w1[idx], axis=1)
+    eye = np.eye(n)
+    if kind == UKF:
+        kappa = 3.0 - n
+        scale = np.sqrt(n + kappa)
+        xi = np.vstack([np.zeros(n), scale * eye, -scale * eye])
+        w = np.full(2 * n + 1, 1.0 / (2.0 * (n + kappa)))
+        w[0] = kappa / (n + kappa)
+    elif kind in (CKF, SRF):
+        xi = np.vstack([np.sqrt(n) * eye, -np.sqrt(n) * eye])
+        w = np.full(2 * n, 1.0 / (2.0 * n))
+    elif kind == GHF:
+        x1, w1 = hermite_e.hermegauss(3)
+        w1 = w1 / w1.sum()
+        idx = np.stack(
+            np.meshgrid(*([np.arange(3)] * n), indexing="ij"), axis=-1
+        ).reshape(-1, n)
+        xi = x1[idx]
+        w = np.prod(w1[idx], axis=1)
+    else:
+        raise ValueError(f"filter kind {kind!r} has no point set")
     xi.setflags(write=False)
     w.setflags(write=False)
     return xi, w
 
 
-def gauss_hermite_points(belief: GaussianBelief) -> WeightedPointSet:
-    """Third-order tensor-product Gauss-Hermite grid of 3**n points.
-
-    Univariate abscissae for the standard normal weight are mapped through
-    mean + L xi, with weights the products of the univariate weights. The
-    weights array is shared between calls and read-only.
-    """
-    xi, w = _gauss_hermite_grid(3, belief.dim)
-    L = chol_psd(belief.cov)
-    pts = belief.mean + xi @ L.T
-    return WeightedPointSet(points=pts, weights=w)
-
-
 def points_for(kind: str, belief: GaussianBelief) -> WeightedPointSet:
-    """Point set used by a sample-point filter (SRF borrows cubature).
-
-    The UKF takes Julier's kappa = 3 - n and the GHF a third-order grid.
-    """
-    if kind == UKF:
-        return unscented_points(belief)
-    if kind in (CKF, SRF):
-        return cubature_points(belief)
-    if kind == GHF:
-        return gauss_hermite_points(belief)
-    raise ValueError(f"filter kind {kind!r} has no point set")
+    """Point set of a sample-point filter: mean + xi L^T, see _unit_points."""
+    xi, w = _unit_points(kind, belief.dim)
+    return WeightedPointSet(points=belief.mean + xi @ chol_psd(belief.cov).T, weights=w)
 
 
 def predict(
@@ -245,11 +210,9 @@ def predict(
         cov = F @ belief.cov @ F.T + Q
     else:
         ps = points_for(kind, belief)
-        prop = kinematics.transition(model, ps.points)
-        m = ps.weights @ prop
-        d = prop - m
-        cov = (ps.weights[:, None] * d).T @ d + Q
-        mean = m - u
+        prop = WeightedPointSet(kinematics.transition(model, ps.points), ps.weights)
+        mean = prop.mean() - u
+        cov = prop.cov() + Q
     return GaussianBelief(mean=mean, cov=symmetrize(cov))
 
 

@@ -55,10 +55,6 @@ class ObserverState:
     def vel(self) -> np.ndarray:
         return np.array([self.vx, self.vy])
 
-    @property
-    def speed(self) -> float:
-        return float(np.hypot(self.vx, self.vy))
-
 
 @dataclass(frozen=True)
 class MotionModel:

@@ -345,9 +345,9 @@ def test_ac8_numerical_hygiene():
         A = rng.normal(size=(n, n))
         b = GaussianBelief(rng.normal(size=n), A @ A.T + n * np.eye(n))
         for ps in (
-            gaussfilt.unscented_points(b),
-            gaussfilt.cubature_points(b),
-            gaussfilt.gauss_hermite_points(b),
+            gaussfilt.points_for(gaussfilt.UKF, b),
+            gaussfilt.points_for(gaussfilt.CKF, b),
+            gaussfilt.points_for(gaussfilt.GHF, b),
         ):
             worst_moment = max(worst_moment, float(np.max(np.abs(ps.mean() - b.mean))))
             worst_moment = max(worst_moment, float(np.max(np.abs(ps.cov() - b.cov))))

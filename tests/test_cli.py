@@ -101,13 +101,21 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "text", ["{", '{"horizon": 1%s}' % ("0" * 5000)], ids=["truncated", "int-5001-digits"]
+        "text",
+        [
+            b"{",
+            b'{"horizon": 1%s}' % (b"0" * 5000),
+            b"\xff\xfe{}",
+            b"[" * 200_000 + b"]" * 200_000,
+        ],
+        ids=["truncated", "int-5001-digits", "not-utf8", "nested-200000-deep"],
     )
     def test_unreadable_json_exits_2_naming_file(self, tmp_path, capsys, text):
         p = tmp_path / "cfg.json"
-        p.write_text(text)
+        p.write_bytes(text)
         assert cli.main(["track", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert f"config error: {p}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {p}: ")
 
     def test_horizon_cap_is_inclusive(self):
         cfg = config_from_dict({"horizon": 10_000})
@@ -398,6 +406,23 @@ class TestReportCommand:
         blob = json.loads((tmp_path / culprit).read_text())
         blob[key] = value
         (tmp_path / culprit).write_text(json.dumps(blob))
+        capsys.readouterr()
+        self._refused(tmp_path, capsys, culprit)
+
+    @pytest.mark.parametrize(
+        "culprit, data",
+        [
+            ("summary.json", b"\xff\xfe\x00"),
+            ("summary.json", b"[" * 100_000 + b"]" * 100_000),
+            ("metrics_ekf_cv_resolved.csv", b"\xff\xfe\x00"),
+        ],
+        ids=["binary-summary", "nested-summary", "binary-series"],
+    )
+    def test_main_refuses_unreadable_file(self, tmp_path, capsys, culprit, data):
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), tmp_path, filters=["ekf"], cases=["cv"], modes=["resolved"]
+        )
+        (tmp_path / culprit).write_bytes(data)
         capsys.readouterr()
         self._refused(tmp_path, capsys, culprit)
 

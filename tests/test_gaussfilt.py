@@ -16,11 +16,9 @@ from towedtma.gaussfilt import (
     GaussianBelief,
     MeasurementModel,
     chol_psd,
-    cubature_points,
-    gauss_hermite_points,
+    points_for,
     predict,
     srf_update,
-    unscented_points,
     update,
 )
 from towedtma.kinematics import CT, CV, MotionModel
@@ -31,94 +29,128 @@ def random_belief(rng, n=4, scale=1.0):
     return GaussianBelief(mean=rng.normal(size=n), cov=scale * (A @ A.T + n * np.eye(n)))
 
 
-POINT_SCHEMES = [
-    ("ukf", lambda b: unscented_points(b)),
-    ("ckf", lambda b: cubature_points(b)),
-    ("ghf", lambda b: gauss_hermite_points(b)),
-]
+POINT_SCHEMES = [UKF, CKF, GHF, SRF]
 
 
 class TestPointSets:
-    @pytest.mark.parametrize("name,scheme", POINT_SCHEMES)
-    def test_moment_matching(self, name, scheme):
+    @pytest.mark.parametrize("kind", POINT_SCHEMES)
+    def test_moment_matching(self, kind):
         rng = np.random.default_rng(42)
         for n in (2, 4, 5):
             b = random_belief(rng, n)
-            ps = scheme(b)
+            ps = points_for(kind, b)
             assert ps.weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(ps.mean(), b.mean, atol=1e-10)
             assert np.allclose(ps.cov(), b.cov, atol=1e-10)
 
     def test_unscented_count_and_weights(self):
         b = random_belief(np.random.default_rng(0), 4)
-        ps = unscented_points(b)  # kappa = 3 - n = -1
+        ps = points_for(UKF, b)  # kappa = 3 - n = -1
         assert ps.points.shape == (9, 4)
         assert ps.weights[0] == pytest.approx(-1.0 / 3.0)
 
     def test_cubature_count_and_weights(self):
         b = random_belief(np.random.default_rng(1), 4)
-        ps = cubature_points(b)
+        ps = points_for(CKF, b)
         assert ps.points.shape == (8, 4)
         assert np.allclose(ps.weights, 0.125)
+        srf = points_for(SRF, b)
+        assert np.array_equal(srf.points, ps.points)
+        assert np.array_equal(srf.weights, ps.weights)
+
+    def test_unscented_and_cubature_match_slice_oracle(self):
+        # the sets built row by row: centre, mean + scale L^T, mean - scale L^T
+        rng = np.random.default_rng(5)
+        for n in range(1, 6):
+            b = random_belief(rng, n)
+            L = np.linalg.cholesky(b.cov)
+            kappa = 3.0 - n
+            scale = np.sqrt(n + kappa)
+            pts = np.empty((2 * n + 1, n))
+            pts[0] = b.mean
+            pts[1 : n + 1] = b.mean + scale * L.T
+            pts[n + 1 :] = b.mean - scale * L.T
+            w = np.full(2 * n + 1, 1.0 / (2.0 * (n + kappa)))
+            w[0] = kappa / (n + kappa)
+            ps = points_for(UKF, b)
+            assert np.array_equal(ps.points, pts)
+            assert np.array_equal(ps.weights, w)
+
+            scale = np.sqrt(n)
+            pts = np.empty((2 * n, n))
+            pts[:n] = b.mean + scale * L.T
+            pts[n:] = b.mean - scale * L.T
+            ps = points_for(CKF, b)
+            assert np.array_equal(ps.points, pts)
+            assert np.array_equal(ps.weights, np.full(2 * n, 1.0 / (2.0 * n)))
+
+    def test_point_less_kinds_are_refused(self):
+        b = random_belief(np.random.default_rng(6), 4)
+        for kind in (EKF, "nope"):
+            with pytest.raises(ValueError, match="has no point set"):
+                points_for(kind, b)
 
     def test_gauss_hermite_univariate_vs_jacobi_oracle(self):
-        # Golub-Welsch on the Jacobi matrix for the N(0,1) weight
-        for order in (2, 3, 4, 5):
-            J = np.diag(np.sqrt(np.arange(1, order)), 1)
-            J = J + J.T
-            nodes, vecs = np.linalg.eigh(J)
-            weights = vecs[0] ** 2
-            xi, w = gaussfilt._gauss_hermite_grid(order, 1)
-            got = sorted(zip(xi[:, 0], w))
-            want = sorted(zip(nodes, weights))
-            assert len(got) == order
-            for (gx, gw), (wx, ww) in zip(got, want):
-                assert gx == pytest.approx(wx, abs=1e-12)
-                assert gw == pytest.approx(ww, abs=1e-12)
+        # Golub-Welsch on the Jacobi matrix for the N(0,1) weight, order 3
+        J = np.diag(np.sqrt(np.arange(1, 3)), 1)
+        J = J + J.T
+        nodes, vecs = np.linalg.eigh(J)
+        weights = vecs[0] ** 2
+        xi, w = gaussfilt._unit_points(GHF, 1)
+        got = sorted(zip(xi[:, 0], w))
+        want = sorted(zip(nodes, weights))
+        assert len(got) == 3
+        for (gx, gw), (wx, ww) in zip(got, want):
+            assert gx == pytest.approx(wx, abs=1e-12)
+            assert gw == pytest.approx(ww, abs=1e-12)
 
     def test_gauss_hermite_points_are_third_order(self):
         b = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-        ps = gauss_hermite_points(b)
+        ps = points_for(GHF, b)
         assert np.allclose(sorted(ps.points[:, 0]), [-np.sqrt(3), 0, np.sqrt(3)])
 
     def test_gauss_hermite_grid_size(self):
         b = random_belief(np.random.default_rng(2), 5)
-        assert gauss_hermite_points(b).points.shape == (243, 5)
+        assert points_for(GHF, b).points.shape == (243, 5)
 
     def test_gauss_hermite_polynomial_exactness(self):
-        # exact for monomials up to degree 2*order-1 per axis against the
+        # exact for monomials up to degree 2*3-1 = 5 per axis against the
         # analytic N(0,1) moments (odd -> 0, even -> double factorial)
-        moment = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
-        for order in (2, 3, 4, 5):
-            xi, w = gaussfilt._gauss_hermite_grid(order, 1)
-            for deg in range(2 * order):
-                got = float(w @ xi[:, 0] ** deg)
-                assert got == pytest.approx(moment.get(deg, 0.0), abs=1e-9)
+        moment = {0: 1.0, 2: 1.0, 4: 3.0}
+        xi, w = gaussfilt._unit_points(GHF, 1)
+        for deg in range(6):
+            got = float(w @ xi[:, 0] ** deg)
+            assert got == pytest.approx(moment.get(deg, 0.0), abs=1e-9)
 
     def test_gauss_hermite_grid_cache_matches_per_call_grid(self):
         from numpy.polynomial import hermite_e
 
         rng = np.random.default_rng(4)
+        x1, w1 = hermite_e.hermegauss(3)
+        w1 = w1 / w1.sum()
         for n in range(1, 6):
             b = random_belief(rng, n)
             L = np.linalg.cholesky(b.cov)
-            for order in (2, 3, 4):
-                x1, w1 = hermite_e.hermegauss(order)
-                w1 = w1 / w1.sum()
-                idx = np.stack(
-                    np.meshgrid(*([np.arange(order)] * n), indexing="ij"), axis=-1
-                ).reshape(-1, n)
-                for _ in range(2):  # the first call fills the cache
-                    xi, w = gaussfilt._gauss_hermite_grid(order, n)
-                    assert np.array_equal(xi, x1[idx])
-                    assert np.array_equal(w, np.prod(w1[idx], axis=1))
-                    if order == 3:
-                        ps = gauss_hermite_points(b)
-                        assert np.array_equal(ps.points, b.mean + x1[idx] @ L.T)
-                        assert ps.weights is w
-                for arr in (xi, w):
-                    with pytest.raises(ValueError, match="read-only"):
-                        arr[0] = 0.0
+            idx = np.stack(
+                np.meshgrid(*([np.arange(3)] * n), indexing="ij"), axis=-1
+            ).reshape(-1, n)
+            for _ in range(2):  # the first call fills the cache
+                xi, w = gaussfilt._unit_points(GHF, n)
+                assert np.array_equal(xi, x1[idx])
+                assert np.array_equal(w, np.prod(w1[idx], axis=1))
+                ps = points_for(GHF, b)
+                assert np.array_equal(ps.points, b.mean + x1[idx] @ L.T)
+                assert ps.weights is w
+
+    @pytest.mark.parametrize("kind", POINT_SCHEMES)
+    def test_unit_table_is_shared_and_read_only(self, kind):
+        b = random_belief(np.random.default_rng(7), 4)
+        xi, w = gaussfilt._unit_points(kind, 4)
+        assert points_for(kind, b).weights is w
+        assert gaussfilt._unit_points(kind, 4)[0] is xi
+        for arr in (xi, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestCholPsd:

@@ -82,7 +82,7 @@ class TestObserverTrack:
     def test_speed_constant_throughout(self):
         cfg = ScenarioConfig()
         for o in gen_observer_track(cfg):
-            assert o.speed == pytest.approx(5.0 * KNOT, abs=1e-12)
+            assert np.hypot(o.vx, o.vy) == pytest.approx(5.0 * KNOT, abs=1e-12)
 
     def test_course_midpoint_of_maneuver(self):
         cfg = ScenarioConfig()

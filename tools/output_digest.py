@@ -1,0 +1,101 @@
+"""One sha256 over every seeded output of the tracker, for bit-identity checks.
+
+Run it on two trees and compare the last line:
+
+    python3 tools/output_digest.py
+
+It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
+and hashes three parts, printing each part's digest to stderr:
+
+* ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
+  per run the side beliefs, fused estimates and log-odds of every step,
+  the failure string and the true slot.
+* ``points``: 50 random beliefs at n = 4 and n = 5 through ``points_for``
+  for every sample-point kind; points and weights.
+* ``files``: the byte-reproducible files of ``towedtma montecarlo
+  --filter all --case all --mode all --runs 20`` (metric series and
+  ``summary.json``) and of ``towedtma track --case cv`` / ``--case ct``,
+  written to a temporary directory. Each carries its manifest key.
+
+Digests depend on the platform's floating-point libraries, so compare two
+trees on one machine; no test stores a digest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from towedtma import cli, gaussfilt, kinematics, simkit  # noqa: E402
+
+RUNS, SEED = 15, 3
+POINT_KINDS = (gaussfilt.UKF, gaussfilt.CKF, gaussfilt.GHF, gaussfilt.SRF)
+
+
+def _feed(h, *arrays) -> None:
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+
+
+def runs_digest(h) -> None:
+    for kind in gaussfilt.FILTER_KINDS:
+        for case in kinematics.MODEL_KINDS:
+            cfg = simkit.ScenarioConfig(filter_kind=kind, model_kind=case, seed=SEED)
+            for mode in simkit.MODES:
+                for i in range(RUNS):
+                    rec = simkit.simulate_run(cfg, simkit.run_seed(SEED, i), mode=mode)
+                    h.update(f"{kind}.{case}.{mode}.{i}:{rec.failure}:{rec.true_slot}".encode())
+                    for est in rec.estimates:
+                        _feed(h, [est.log_odds])
+                        for b in (est.belief1, est.belief2, est.fused):
+                            _feed(h, b.mean, b.cov)
+
+
+def points_digest(h) -> None:
+    rng = np.random.default_rng(SEED)
+    for n in (4, 5):
+        for _ in range(50):
+            A = rng.normal(size=(n, n))
+            b = gaussfilt.GaussianBelief(rng.normal(size=n), A @ A.T + n * np.eye(n))
+            for kind in POINT_KINDS:
+                ps = gaussfilt.points_for(kind, b)
+                _feed(h, ps.points, ps.weights)
+
+
+def files_digest(h) -> None:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = Path(tmp)
+        argv = ["montecarlo", "--filter", "all", "--case", "all", "--mode", "all",
+                "--runs", "20", "--out", str(out / "mc")]
+        assert cli.main(argv) == 0
+        for case in kinematics.MODEL_KINDS:
+            assert cli.main(["track", "--case", case, "--out", str(out / "track")]) == 0
+        files = sorted(out.glob("mc/metrics_*.csv")) + [out / "mc" / "summary.json"]
+        files += sorted(out.glob("track/track_*.csv"))
+        for path in files:
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    for name, part in (("runs", runs_digest), ("points", points_digest),
+                       ("files", files_digest)):
+        h = hashlib.sha256()
+        part(h)
+        print(f"{name}: {h.hexdigest()}", file=sys.stderr)
+        total.update(h.digest())
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
