@@ -68,12 +68,11 @@ class WeightedPointSet:
     points: np.ndarray
     weights: np.ndarray
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
-    def cov(self) -> np.ndarray:
-        d = self.points - self.mean()
-        return (self.weights[:, None] * d).T @ d
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted mean and covariance of the points."""
+        mean = self.weights @ self.points
+        d = self.points - mean
+        return mean, (self.weights[:, None] * d).T @ d
 
 
 @dataclass
@@ -211,8 +210,9 @@ def predict(
     else:
         ps = points_for(kind, belief)
         prop = WeightedPointSet(kinematics.transition(model, ps.points), ps.weights)
-        mean = prop.mean() - u
-        cov = prop.cov() + Q
+        mean, cov = prop.moments()
+        mean = mean - u
+        cov = cov + Q
     return GaussianBelief(mean=mean, cov=symmetrize(cov))
 
 

@@ -18,6 +18,7 @@ other module branches on the model kind; they ask the MotionModel instead.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,16 +118,31 @@ def cv_transition(state: np.ndarray, T: float) -> np.ndarray:
     return out
 
 
-def _ct_coeffs(psi, T: float) -> tuple[np.ndarray, ...]:
+def _ct_coeffs(psi, T: float) -> tuple:
     """CT transition coefficients (a, b, cos(psi*T), sin(psi*T)).
 
     a = sin(psi*T)/psi and b = (1 - cos(psi*T))/psi, with Taylor limits
-    near zero. Accepts a scalar or an array of turn rates.
+    near zero. A float turn rate, which the single-state callers pass, is
+    computed with ``math`` and gives four floats; anything else is taken
+    as an array of turn rates and gives four arrays. The two paths agree
+    bit for bit where libm and numpy round sin/cos alike (the tests check).
     """
+    if isinstance(psi, float):
+        x = psi * T
+        if math.isinf(x):
+            # math.cos raises ValueError here; keep numpy's NaN and warning
+            cs, sn = float(np.cos(x)), float(np.sin(x))
+        else:
+            cs, sn = math.cos(x), math.sin(x)
+        if abs(psi) < PSI_EPS:
+            return float(T), psi * T * T / 2.0, cs, sn
+        return sn / psi, (1.0 - cs) / psi, cs, sn
     psi = np.asarray(psi, dtype=float)
     cs = np.cos(psi * T)
     sn = np.sin(psi * T)
     small = np.abs(psi) < PSI_EPS
+    if not small.any():
+        return sn / psi, (1.0 - cs) / psi, cs, sn
     safe = np.where(small, 1.0, psi)
     a = np.where(small, T, sn / safe)
     b = np.where(small, psi * T * T / 2.0, (1.0 - cs) / safe)
@@ -137,11 +153,24 @@ def ct_transition(state: np.ndarray, T: float) -> np.ndarray:
     """Advance a 5-dim CT state [x, y, vx, vy, psi] by one interval.
 
     The turn rate is taken from the state's fifth component and persists
-    unchanged. Accepts shape (5,) or a batch (m, 5).
+    unchanged. Accepts shape (5,) or a batch (m, 5); a single state is
+    computed on Python floats in the batch formulas' operation order.
     """
     s = np.asarray(state, dtype=float)
     if s.shape[-1] != 5:
         raise ValueError(f"CT state must have 5 components, got shape {s.shape}")
+    if s.ndim == 1:
+        x, y, vx, vy, psi = s.tolist()
+        a, b, cs, sn = _ct_coeffs(psi, T)
+        return np.array(
+            [
+                x + a * vx - b * vy,
+                y + b * vx + a * vy,
+                cs * vx - sn * vy,
+                sn * vx + cs * vy,
+                psi,
+            ]
+        )
     psi = s[..., 4]
     a, b, cs, sn = _ct_coeffs(psi, T)
     vx, vy = s[..., 2], s[..., 3]
@@ -188,7 +217,7 @@ def observer_input(
                 obs_now.vy - obs_prev.vy,
             ]
         )
-    a, b, cs, sn = map(float, _ct_coeffs(float(state[4]), T))
+    a, b, cs, sn = _ct_coeffs(float(state[4]), T)
     return np.array(
         [
             obs_now.x - obs_prev.x - a * obs_prev.vx + b * obs_prev.vy,
@@ -236,28 +265,29 @@ def process_jacobian(model: MotionModel, state: np.ndarray) -> np.ndarray:
     s = np.asarray(state, dtype=float)
     if s.shape != (5,):
         raise ValueError(f"CT state must have shape (5,), got {s.shape}")
-    psi = s[4]
-    vx, vy = s[2], s[3]
-    a, b, cs, sn = map(float, _ct_coeffs(psi, T))
+    _, _, vx, vy, psi = s.tolist()
+    a, b, cs, sn = _ct_coeffs(psi, T)
     if abs(psi) < PSI_EPS:
         # Taylor limits of d/dpsi of the trig ratios
         da = -psi * T**3 / 3.0
         db = T**2 / 2.0
     else:
-        da = (psi * T * cs - sn) / psi**2
-        db = (psi * T * sn - (1.0 - cs)) / psi**2
-    J = np.zeros((5, 5))
-    J[0, 0] = J[1, 1] = 1.0
-    J[0, 2], J[0, 3] = a, -b
-    J[1, 2], J[1, 3] = b, a
-    J[2, 2], J[2, 3] = cs, -sn
-    J[3, 2], J[3, 3] = sn, cs
-    J[0, 4] = da * vx - db * vy
-    J[1, 4] = db * vx + da * vy
-    J[2, 4] = -T * sn * vx - T * cs * vy
-    J[3, 4] = T * cs * vx - T * sn * vy
-    J[4, 4] = 1.0
-    return J
+        # libm pow, as numpy's scalar power rounds psi**2 (x*x may differ)
+        try:
+            psi2 = psi**2
+        except OverflowError:  # numpy's power gives inf here
+            psi2 = math.inf
+        da = (psi * T * cs - sn) / psi2
+        db = (psi * T * sn - (1.0 - cs)) / psi2
+    return np.array(
+        [
+            [1.0, 0.0, a, -b, da * vx - db * vy],
+            [0.0, 1.0, b, a, db * vx + da * vy],
+            [0.0, 0.0, cs, -sn, -T * sn * vx - T * cs * vy],
+            [0.0, 0.0, sn, cs, T * cs * vx - T * sn * vy],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
 
 
 def vel_from_course(speed: float, course: float) -> np.ndarray:

@@ -268,7 +268,7 @@ def gen_target_track(
     """Absolute target states, shape (horizon + 1, model dim).
 
     The nominal trajectory is deterministic; passing a generator adds the
-    model's process noise on top (one draw per step).
+    model's process noise on top, one standard-normal row per step.
     """
     model = cfg.motion_model()
     obs0 = np.zeros(2)
@@ -290,10 +290,12 @@ def gen_target_track(
             # eigen square root: Q may be singular (e.g. a zero noise block)
             w, V = np.linalg.eigh(Q)
             Lq = V * np.sqrt(np.clip(w, 0.0, None))
+            # one block is the same stream as one draw per step
+            noise = rng.standard_normal((cfg.horizon, n))
     for k in range(cfg.horizon):
         nxt = kinematics.transition(model, track[k])
         if Lq is not None:
-            nxt = nxt + Lq @ rng.standard_normal(n)
+            nxt = nxt + Lq @ noise[k]
         track[k + 1] = nxt
     return track
 
@@ -486,21 +488,17 @@ def _drawn_side(
 
 def summarize_run(rec: RunRecord) -> RunSummary:
     """Reduce a run to the arrays the evaluation metrics need."""
-    H = len(rec.estimates)
-    pos_err = np.empty((H, 2))
-    vel_err = np.empty((H, 2))
-    first_decided = None
-    for k, est in enumerate(rec.estimates):
-        pos_err[k] = est.fused.mean[0:2] - rec.truth_rel[k][0:2]
-        vel_err[k] = est.fused.mean[2:4] - rec.truth_rel[k][2:4]
-        if first_decided is None and max(est.w1, est.w2) >= 0.99:
-            first_decided = est.t
-    last = rec.estimates[-1]
+    fused = np.array([est.fused.mean for est in rec.estimates])
+    truth = np.asarray(rec.truth_rel)[: len(fused)]
+    first_decided = next(
+        (est.t for est in rec.estimates if max(lrtma.side_weights(est.log_odds)) >= 0.99),
+        None,
+    )
     return RunSummary(
-        pos_err=pos_err,
-        vel_err=vel_err,
+        pos_err=fused[:, 0:2] - truth[:, 0:2],
+        vel_err=fused[:, 2:4] - truth[:, 2:4],
         terminal_range_error=rec.terminal_range_error,
-        terminal_max_weight=float(max(last.w1, last.w2)),
+        terminal_max_weight=float(max(lrtma.side_weights(rec.estimates[-1].log_odds))),
         first_decided_step=first_decided,
         wall_time=rec.wall_time,
         diverged=rec.diverged,

@@ -40,8 +40,9 @@ class TestPointSets:
             b = random_belief(rng, n)
             ps = points_for(kind, b)
             assert ps.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.allclose(ps.mean(), b.mean, atol=1e-10)
-            assert np.allclose(ps.cov(), b.cov, atol=1e-10)
+            mean, cov = ps.moments()
+            assert np.allclose(mean, b.mean, atol=1e-10)
+            assert np.allclose(cov, b.cov, atol=1e-10)
 
     def test_unscented_count_and_weights(self):
         b = random_belief(np.random.default_rng(0), 4)

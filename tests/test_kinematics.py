@@ -1,9 +1,10 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towedtma import kinematics
@@ -101,6 +102,111 @@ class TestCtTransition:
         batch = ct_transition(pts, T=1.0)
         for i in range(11):
             assert np.allclose(batch[i], ct_transition(pts[i], T=1.0))
+
+
+EPS = kinematics.PSI_EPS
+# turn rates where the scalar and array paths could part: signed zeros,
+# subnormals, both sides of PSI_EPS and its neighbouring floats, and rates
+# so large that psi*T overflows
+EDGE_RATES = [
+    float(r)
+    for m in (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, np.nextafter(EPS, 0.0), EPS,
+              np.nextafter(EPS, 1.0), 0.05, 1e10, 1e200, 1e308)
+    for r in (m, -m)
+]
+turn_rates = st.one_of(
+    st.sampled_from(EDGE_RATES),
+    st.floats(-2 * EPS, 2 * EPS),
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+components = st.floats(-10.0, 10.0)
+
+
+def assert_same_bits(got, want):
+    # array_equal takes -0.0 == 0.0; the signs of zeros must match too
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestCtScalarPath:
+    @given(
+        psi=turn_rates,
+        T=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 10.0),
+        xyv=st.lists(components, min_size=4, max_size=4),
+        obs=st.lists(components, min_size=8, max_size=8),
+    )
+    # a rate whose libm square psi**2 differs from psi*psi in the last bit
+    @example(psi=0.027836505711946465, T=1.0, xyv=[0.0, 0.0, 0.3, -0.2], obs=[0.0] * 8)
+    # a rate whose square overflows: numpy's power gives inf, Python's raises
+    @example(psi=1e200, T=1.0, xyv=[0.0, 0.0, 0.3, -0.2], obs=[0.0] * 8)
+    @settings(max_examples=300, deadline=None)
+    def test_single_state_matches_batch_path(self, psi, T, xyv, obs):
+        x = np.array([*xyv, psi])
+        vx, vy = xyv[2:]
+        model = ct_model(T=T)
+        with np.errstate(all="ignore"):
+            assert_same_bits(ct_transition(x, T), ct_transition(x[None], T)[0])
+            scalar = kinematics._ct_coeffs(psi, T)
+            a, b, cs, sn = (c[0] for c in kinematics._ct_coeffs(np.array([psi]), T))
+            J = process_jacobian(model, x)
+            # the psi column from the array-path coefficients, in numpy
+            # scalar arithmetic
+            p = np.float64(psi)
+            if abs(p) < EPS:
+                da, db = -p * T**3 / 3.0, T**2 / 2.0
+            else:
+                da, db = (p * T * cs - sn) / p**2, (p * T * sn - (1.0 - cs)) / p**2
+            want_col = [da * vx - db * vy, db * vx + da * vy,
+                        -T * sn * vx - T * cs * vy, T * cs * vx - T * sn * vy]
+            o0 = ObserverState(*obs[:4], heading=0.0)
+            o1 = ObserverState(*obs[4:], heading=0.0)
+            u = observer_input(o0, o1, model, x)
+            want_u = [
+                o1.x - o0.x - a * o0.vx + b * o0.vy,
+                o1.y - o0.y - b * o0.vx - a * o0.vy,
+                o1.vx - cs * o0.vx + sn * o0.vy,
+                o1.vy - sn * o0.vx - cs * o0.vy,
+                0.0,
+            ]
+        assert all(isinstance(c, float) for c in scalar)
+        assert_same_bits(scalar, [a, b, cs, sn])
+        assert_same_bits(J[:4, :4], [[1, 0, a, -b], [0, 1, b, a], [0, 0, cs, -sn], [0, 0, sn, cs]])
+        assert_same_bits(J[:4, 4], want_col)
+        assert_same_bits(u, want_u)
+
+    @given(rates=st.lists(turn_rates, min_size=1, max_size=12), T=st.sampled_from([0.5, 1.0, 2.0]))
+    @example(rates=[0.0, 0.05, -EPS / 2, 1.0], T=1.0)  # np.where branch
+    @example(rates=[0.05, -1.0, EPS, 3.0], T=1.0)  # no rate below PSI_EPS
+    @settings(max_examples=200, deadline=None)
+    def test_batch_rows_match_single_states(self, rates, T):
+        rng = np.random.default_rng(len(rates))
+        states = np.column_stack([rng.normal(size=(len(rates), 4)), rates])
+        with np.errstate(all="ignore"):
+            batch = ct_transition(states, T)
+            coeffs = kinematics._ct_coeffs(np.array(rates), T)
+            for i, psi in enumerate(rates):
+                assert_same_bits(batch[i], ct_transition(states[i], T))
+                assert_same_bits([c[i] for c in coeffs], kinematics._ct_coeffs(psi, T))
+
+    @pytest.mark.parametrize("psi, T", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0),
+                                        (1e308, 2.0)])
+    def test_non_finite_turn_gives_nan_not_an_exception(self, psi, T):
+        # math.cos raises ValueError on inf; the coefficients must be the
+        # NaNs numpy gives, so a run fails as a filter failure instead
+        with np.errstate(all="ignore"):
+            scalar = kinematics._ct_coeffs(psi, T)
+            batch = kinematics._ct_coeffs(np.array([psi]), T)
+            x = np.array([1.0, 2.0, 0.1, 0.0, psi])
+            o0 = ObserverState(x=0.0, y=0.0, vx=0.1, vy=0.02, heading=0.0)
+            o1 = ObserverState(x=0.1, y=0.0, vx=0.1, vy=0.02, heading=0.0)
+            outs = (ct_transition(x, T)[:4], process_jacobian(ct_model(T=T), x)[:4, 2:],
+                    observer_input(o0, o1, ct_model(T=T), x)[:4])
+        assert all(math.isnan(c) for c in scalar)
+        assert_same_bits(scalar, [c[0] for c in batch])
+        for out in outs:
+            assert np.isnan(out).all()
 
 
 class TestObserverInput:

@@ -428,6 +428,17 @@ class TestSideStep:
         with pytest.raises(gaussfilt.FilterNumericsError, match="non-finite"):
             lrtma.side_step(bank.belief1, pair.y1, o1, o2, model, kind, sigma)
 
+    @pytest.mark.parametrize("psi", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["ekf", "ckf", "srf"])
+    def test_non_finite_turn_rate_is_a_filter_failure(self, kind, psi):
+        # the CT coefficients of a non-finite turn rate are NaN, so the
+        # side fails with the error a Monte Carlo run flags, never with the
+        # ValueError math.cos raises on inf
+        bank, pair, o1, o2, model, sigma = one_step_inputs(CT)
+        bank.belief1.mean[4] = psi
+        with np.errstate(invalid="ignore"), pytest.raises(gaussfilt.FilterNumericsError):
+            lrtma.side_step(bank.belief1, pair.y1, o1, o2, model, kind, sigma)
+
     @pytest.mark.parametrize("kind", ["ekf", "srf"])
     def test_step_rejects_one_non_finite_side(self, monkeypatch, kind):
         bank, pair, o1, o2, model, sigma = one_step_inputs()

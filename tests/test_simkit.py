@@ -179,6 +179,24 @@ class TestTargetTrack:
         noisy = gen_target_track(cfg, np.random.default_rng(0))
         assert not np.allclose(nominal, noisy)
 
+    @pytest.mark.parametrize("case", [CV, CT])
+    def test_noise_block_is_the_per_step_stream(self, case):
+        # the truth draws its noise as one (horizon, n) block; that must be
+        # the stream of one standard_normal(n) call per step, bit for bit,
+        # and leave the generator where the per-step loop leaves it
+        cfg = ScenarioConfig(model_kind=case)
+        model = cfg.motion_model()
+        rng_block, rng_loop = np.random.default_rng(8), np.random.default_rng(8)
+        track = gen_target_track(cfg, rng_block)
+        w, V = np.linalg.eigh(kinematics.process_noise_cov(model))
+        Lq = V * np.sqrt(np.clip(w, 0.0, None))
+        want = [gen_target_track(cfg)[0]]
+        for _ in range(cfg.horizon):
+            nxt = kinematics.transition(model, want[-1])
+            want.append(nxt + Lq @ rng_loop.standard_normal(model.dim))
+        assert np.array_equal(track, np.array(want))
+        assert rng_block.standard_normal() == rng_loop.standard_normal()
+
     def test_truth_self_consistency(self):
         cfg = ScenarioConfig()
         obs = gen_observer_track(cfg)
@@ -246,6 +264,24 @@ class TestSimulateRun:
             simulate_run(cfg, run_seed(cfg.seed, i)).true_slot for i in range(12)
         }
         assert slots == {1, 2}
+
+
+class TestSummarizeRun:
+    @pytest.mark.parametrize("mode", [RESOLVED, KNOWN_SIDE])
+    def test_matches_per_estimate_loop(self, mode):
+        # stacked errors and one side_weights per estimate give the values
+        # the per-estimate reduction gives
+        cfg = ScenarioConfig(filter_kind="ekf", model_kind=CT)
+        rec = simulate_run(cfg, run_seed(cfg.seed, 4), mode=mode)
+        got = summarize_run(rec)
+        for k, est in enumerate(rec.estimates):
+            assert np.array_equal(got.pos_err[k], est.fused.mean[0:2] - rec.truth_rel[k][0:2])
+            assert np.array_equal(got.vel_err[k], est.fused.mean[2:4] - rec.truth_rel[k][2:4])
+        decided = [e.t for e in rec.estimates if max(e.w1, e.w2) >= 0.99]
+        assert got.first_decided_step == (decided[0] if decided else None)
+        last = rec.estimates[-1]
+        assert got.terminal_max_weight == max(last.w1, last.w2)
+        assert got.pos_err.shape == got.vel_err.shape == (cfg.horizon, 2)
 
 
 class TestMonteCarlo:

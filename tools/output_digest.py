@@ -5,13 +5,17 @@ Run it on two trees and compare the last line:
     python3 tools/output_digest.py
 
 It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
-and hashes three parts, printing each part's digest to stderr:
+and hashes four parts, printing each part's digest to stderr:
 
 * ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
   per run the side beliefs, fused estimates and log-odds of every step,
   the failure string and the true slot.
 * ``points``: 50 random beliefs at n = 4 and n = 5 through ``points_for``
   for every sample-point kind; points and weights.
+* ``kinematics``: ``ct_transition`` on single states and on batches,
+  ``process_jacobian`` and ``observer_input`` over a fixed set of turn
+  rates: signed zeros, subnormals, both sides of ``PSI_EPS`` and its
+  neighbouring floats, large and non-finite values, at three intervals.
 * ``files``: the byte-reproducible files of ``towedtma montecarlo
   --filter all --case all --mode all --runs 20`` (metric series and
   ``summary.json``) and of ``towedtma track --case cv`` / ``--case ct``,
@@ -70,6 +74,25 @@ def points_digest(h) -> None:
                 _feed(h, ps.points, ps.weights)
 
 
+def kinematics_digest(h) -> None:
+    eps = kinematics.PSI_EPS
+    rates = [0.0, 5e-324, 1e-300, 1e-12, np.nextafter(eps, 0.0), eps,
+             np.nextafter(eps, 1.0), 1e-6, 0.01, 0.05, 1.0, 3.0, 1e3, 1e10,
+             1e200, 1e308, np.inf, np.nan]
+    rates = np.array(rates + [-r for r in rates])
+    rng = np.random.default_rng(SEED)
+    o0, o1 = (kinematics.ObserverState(*rng.normal(size=4), heading=0.0) for _ in range(2))
+    with np.errstate(all="ignore"):
+        for T in (0.5, 1.0, 2.0):
+            model = kinematics.MotionModel(kinematics.CT, T, 0.0)
+            states = np.column_stack([rng.normal(size=(len(rates), 4)), rates])
+            _feed(h, kinematics.ct_transition(states, T))
+            _feed(h, kinematics.ct_transition(states[np.abs(rates) >= eps], T))
+            for x in states:
+                _feed(h, kinematics.ct_transition(x, T), kinematics.process_jacobian(model, x),
+                      kinematics.observer_input(o0, o1, model, x))
+
+
 def files_digest(h) -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp)
@@ -88,7 +111,7 @@ def files_digest(h) -> None:
 def main() -> int:
     total = hashlib.sha256()
     for name, part in (("runs", runs_digest), ("points", points_digest),
-                       ("files", files_digest)):
+                       ("kinematics", kinematics_digest), ("files", files_digest)):
         h = hashlib.sha256()
         part(h)
         print(f"{name}: {h.hexdigest()}", file=sys.stderr)
