@@ -107,13 +107,20 @@ BEARING = MeasurementModel(
 )
 
 
+# read-only 2x2 identity for the SRF's planar noise covariance
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
+
+
 def normal_log_pdf(resid: float, var: float) -> float:
     """Log density of a zero-mean scalar normal with variance ``var``."""
     return -0.5 * (resid * resid / var + math.log(2.0 * math.pi * var))
 
 
 def symmetrize(P: np.ndarray) -> np.ndarray:
-    return (P + P.T) / 2.0
+    S = P + P.T
+    S /= 2.0
+    return S
 
 
 def chol_psd(P: np.ndarray) -> np.ndarray:
@@ -255,12 +262,12 @@ def update(
         Pyy = float(ps.weights @ (dy * dy)) + R
         Pxy = (ps.weights * dy) @ dx
 
-    if Pyy <= 0 or not np.isfinite(Pyy):
+    if Pyy <= 0 or not math.isfinite(Pyy):
         raise FilterNumericsError(f"innovation covariance {Pyy} is not positive")
     innov = sensing.wrap_angle(y - yhat) if meas.angular else y - yhat
     K = Pxy / Pyy
     mean = m + K * innov
-    cov = symmetrize(P - Pyy * np.outer(K, K))
+    cov = symmetrize(P - Pyy * (K[:, None] * K))
     return UpdateOutcome(
         posterior=GaussianBelief(mean=mean, cov=cov),
         pred_meas=yhat,
@@ -312,28 +319,31 @@ def srf_update(belief: GaussianBelief, y: float, noise_std: float) -> UpdateOutc
     if r2 == 0.0:
         raise sensing.ZeroRangeError("SRF update undefined at zero predicted range")
     Rm = srf_matched_noise(belief, noise_std)
-    V = S + Rm * np.eye(2)
-    detV = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
-    if detV <= 0 or not np.isfinite(detV):
+    V = S + Rm * _EYE2
+    (v00, v01), (v10, v11) = V.tolist()
+    detV = v00 * v11 - v01 * v10
+    if detV <= 0 or not math.isfinite(detV):
         raise FilterNumericsError("SRF planar covariance is not positive definite")
-    Vi = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]]) / detV
+    Vi = np.array([[v11 / detV, -v01 / detV], [-v10 / detV, v00 / detV]])
 
     b = np.array([np.sin(y), np.cos(y)])
-    a = float(b @ Vi @ b)
-    u = float(b @ Vi @ zhat) / np.sqrt(a)
+    bVi = b @ Vi
+    a = float(bVi @ b)
+    # NaN below zero, as np.sqrt gives, where math.sqrt would raise
+    sqrt_a = math.sqrt(a) if a >= 0.0 else math.nan
+    u = float(bVi @ zhat) / sqrt_a
     rho1, rho2 = shifted_rayleigh_moments(u)
 
-    gamma = rho1 / np.sqrt(a)
-    zcond = gamma * b
+    zcond = (rho1 / sqrt_a) * b
     var_r = max(rho2 - rho1 * rho1, 0.0) / a
 
     C = P[:, :2]
     G = C @ Vi
-    mean = m + G @ (zcond - zhat)
-    cov = P - G @ C.T + var_r * np.outer(G @ b, G @ b)
-    cov = symmetrize(cov)
-
     resid = zcond - zhat
+    Gb = G @ b
+    mean = m + G @ resid
+    cov = symmetrize(P - G @ C.T + var_r * (Gb[:, None] * Gb))
+
     quad = float(resid @ Vi @ resid)
     log_likelihood = -0.5 * (quad + math.log(detV)) - math.log(2.0 * math.pi)
 

@@ -106,12 +106,16 @@ def cv_mat(T: float) -> np.ndarray:
 def cv_transition(state: np.ndarray, T: float) -> np.ndarray:
     """Advance a 4-dim CV state by one sampling interval.
 
-    Accepts a single state of shape (4,) or a batch of shape (m, 4).
-    Noise and observer input are applied by the caller.
+    Accepts a single state of shape (4,), computed on Python floats, or a
+    batch of shape (m, 4). Noise and observer input are applied by the
+    caller.
     """
     s = np.asarray(state, dtype=float)
     if s.shape[-1] != 4:
         raise ValueError(f"CV state must have 4 components, got shape {s.shape}")
+    if s.ndim == 1:
+        x, y, vx, vy = s.tolist()
+        return np.array([x + T * vx, y + T * vy, vx, vy])
     out = s.copy()
     out[..., 0] += T * s[..., 2]
     out[..., 1] += T * s[..., 3]

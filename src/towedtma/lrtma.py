@@ -164,7 +164,7 @@ def fuse(
     mean = w1 * b1.mean + w2 * b2.mean
     d1 = b1.mean - mean
     d2 = b2.mean - mean
-    cov = w1 * (b1.cov + np.outer(d1, d1)) + w2 * (b2.cov + np.outer(d2, d2))
+    cov = w1 * (b1.cov + d1[:, None] * d1) + w2 * (b2.cov + d2[:, None] * d2)
     return GaussianBelief(mean=mean, cov=gaussfilt.symmetrize(cov))
 
 
@@ -207,7 +207,7 @@ def side_step(
     u = kinematics.observer_input(obs_prev, obs_now, model, belief.mean)
     prior = gaussfilt.predict(belief, model, u, filter_kind)
     out = gaussfilt.update(prior, y, noise_std, filter_kind)
-    if not np.all(np.isfinite(out.posterior.mean)):
+    if not np.isfinite(out.posterior.mean).all():
         raise gaussfilt.FilterNumericsError("non-finite estimate")
     return out
 

@@ -9,6 +9,7 @@ step, one of which is the true (noisy) detection and the other its ghost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,14 @@ class BearingPair:
 
 
 def wrap_angle(a):
-    """Wrap an angle (or array of angles) to (-pi, pi]."""
+    """Wrap an angle (or array of angles) to (-pi, pi].
+
+    A non-finite angle gives NaN. A float and a one-element array give the
+    same bits, except that the float branch keeps the sign of -0.0.
+    """
     if isinstance(a, (float, int)):
+        if not math.isfinite(a):
+            return a - a  # NaN, as the array arithmetic gives
         w = a - TWO_PI * round(a / TWO_PI)
         # round-half-even can leave the result on the wrong boundary
         if w > np.pi:
@@ -47,10 +54,11 @@ def wrap_angle(a):
             w += TWO_PI
         return w
     a = np.asarray(a, dtype=float)
-    w = a - TWO_PI * np.round(a / TWO_PI)
-    w = np.where(w > np.pi, w - TWO_PI, w)
-    w = np.where(w <= -np.pi, w + TWO_PI, w)
-    return w if w.ndim else float(w)
+    # a 0-d input gives a numpy scalar, which the masks cannot write to
+    w = np.atleast_1d(a - TWO_PI * np.rint(a / TWO_PI))
+    w[w > np.pi] -= TWO_PI
+    w[w <= -np.pi] += TWO_PI
+    return w if a.ndim else float(w[0])
 
 
 def true_bearing(rel: np.ndarray) -> float:

@@ -1,0 +1,318 @@
+"""The single-state step's float rewrites against the numpy expressions they replaced.
+
+``srf_update``, the ``update`` epilogue, ``symmetrize``, ``lrtma.fuse``, the
+single-state ``cv_transition`` and the array branch of ``wrap_angle`` moved
+their elementwise work off numpy's per-call path and kept every dot and
+matrix product as the same numpy call in the same association order. Each
+``old_*`` function below is the earlier expression, verbatim; the tests
+require the same bits from both, signs of zeros and NaN payloads included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from towedtma import gaussfilt, kinematics, lrtma, sensing
+from towedtma.gaussfilt import (
+    BEARING,
+    CKF,
+    EKF,
+    GHF,
+    UKF,
+    FilterNumericsError,
+    GaussianBelief,
+    UpdateOutcome,
+    normal_log_pdf,
+    points_for,
+    shifted_rayleigh_moments,
+    srf_matched_noise,
+)
+
+TWO_PI = sensing.TWO_PI
+
+
+def old_wrap_angle(a):
+    a = np.asarray(a, dtype=float)
+    w = a - TWO_PI * np.round(a / TWO_PI)
+    w = np.where(w > np.pi, w - TWO_PI, w)
+    w = np.where(w <= -np.pi, w + TWO_PI, w)
+    return w if w.ndim else float(w)
+
+
+def old_symmetrize(P):
+    return (P + P.T) / 2.0
+
+
+def old_update(belief, y, noise_std, kind, meas=BEARING):
+    R = noise_std**2
+    m, P = belief.mean, belief.cov
+
+    if kind == EKF:
+        H = meas.jac(m)
+        yhat = float(meas.fn(m))
+        Pxy = P @ H
+        Pyy = float(H @ Pxy) + R
+    else:
+        ps = points_for(kind, belief)
+        g = np.asarray(meas.fn(ps.points), dtype=float)
+        if meas.angular:
+            ref = float(meas.fn(m))
+            g = ref + old_wrap_angle(g - ref)
+        yhat = float(ps.weights @ g)
+        dy = g - yhat
+        dx = ps.points - m
+        Pyy = float(ps.weights @ (dy * dy)) + R
+        Pxy = (ps.weights * dy) @ dx
+
+    if Pyy <= 0 or not np.isfinite(Pyy):
+        raise FilterNumericsError(f"innovation covariance {Pyy} is not positive")
+    innov = sensing.wrap_angle(y - yhat) if meas.angular else y - yhat
+    K = Pxy / Pyy
+    mean = m + K * innov
+    cov = old_symmetrize(P - Pyy * np.outer(K, K))
+    return UpdateOutcome(
+        posterior=GaussianBelief(mean=mean, cov=cov),
+        pred_meas=yhat,
+        innov_cov=Pyy,
+        log_likelihood=normal_log_pdf(innov, Pyy),
+    )
+
+
+def old_srf_update(belief, y, noise_std):
+    m, P = belief.mean, belief.cov
+    zhat = m[:2]
+    S = P[:2, :2]
+    r2 = float(zhat @ zhat)
+    if r2 == 0.0:
+        raise sensing.ZeroRangeError("SRF update undefined at zero predicted range")
+    Rm = srf_matched_noise(belief, noise_std)
+    V = S + Rm * np.eye(2)
+    detV = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
+    if detV <= 0 or not np.isfinite(detV):
+        raise FilterNumericsError("SRF planar covariance is not positive definite")
+    Vi = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]]) / detV
+
+    b = np.array([np.sin(y), np.cos(y)])
+    a = float(b @ Vi @ b)
+    u = float(b @ Vi @ zhat) / np.sqrt(a)
+    rho1, rho2 = shifted_rayleigh_moments(u)
+
+    gamma = rho1 / np.sqrt(a)
+    zcond = gamma * b
+    var_r = max(rho2 - rho1 * rho1, 0.0) / a
+
+    C = P[:, :2]
+    G = C @ Vi
+    mean = m + G @ (zcond - zhat)
+    cov = P - G @ C.T + var_r * np.outer(G @ b, G @ b)
+    cov = old_symmetrize(cov)
+
+    resid = zcond - zhat
+    quad = float(resid @ Vi @ resid)
+    log_likelihood = -0.5 * (quad + math.log(detV)) - math.log(2.0 * math.pi)
+
+    pred = float(np.arctan2(zhat[0], zhat[1]))
+    tang = np.array([np.cos(pred), -np.sin(pred)])
+    innov_cov = float(tang @ V @ tang) / r2
+
+    return UpdateOutcome(
+        posterior=GaussianBelief(mean=mean, cov=cov),
+        pred_meas=pred,
+        innov_cov=innov_cov,
+        log_likelihood=log_likelihood,
+    )
+
+
+def old_fuse(b1, b2, w):
+    w1, w2 = w
+    mean = w1 * b1.mean + w2 * b2.mean
+    d1 = b1.mean - mean
+    d2 = b2.mean - mean
+    cov = w1 * (b1.cov + np.outer(d1, d1)) + w2 * (b2.cov + np.outer(d2, d2))
+    return GaussianBelief(mean=mean, cov=old_symmetrize(cov))
+
+
+def old_cv_transition(s, T):
+    out = s.copy()
+    out[..., 0] += T * s[..., 2]
+    out[..., 1] += T * s[..., 3]
+    return out
+
+
+def assert_same_bits(got, want):
+    # the raw bit patterns: signed zeros and NaN payloads must match too
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
+
+
+def outcome(fn, *args):
+    """The update's fields as arrays, or the exception it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args)
+        except (FilterNumericsError, sensing.ZeroRangeError, ZeroDivisionError) as exc:
+            return repr(exc)
+    return (out.posterior.mean, out.posterior.cov,
+            [out.pred_meas, out.innov_cov, out.log_likelihood])
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
+@st.composite
+def beliefs(draw, n):
+    """A PSD belief: mean in a 40-km box, covariance A A^T + jitter I."""
+    mean = draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n))
+    A = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n))
+    jitter = draw(st.sampled_from([0.0, 1e-9]) | st.floats(1e-6, 1.0))
+    A = np.reshape(A, (n, n))
+    return GaussianBelief(np.array(mean), A @ A.T + jitter * np.eye(n))
+
+
+bearings = st.floats(-math.pi, math.pi)
+noise_stds = st.sampled_from([0.0, 1e-3, 0.0175]) | st.floats(1e-4, 0.5)
+
+
+def belief_from_seed(seed, n):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    return GaussianBelief(10.0 * rng.normal(size=n), A @ A.T + 0.1 * np.eye(n))
+
+
+class TestMeasurementUpdate:
+    @pytest.mark.parametrize("n", [4, 5])
+    @given(data=st.data(), y=bearings, noise_std=noise_stds)
+    @settings(max_examples=150, deadline=None)
+    def test_srf_update(self, n, data, y, noise_std):
+        b = data.draw(beliefs(n))
+        assert_same_outcome(outcome(gaussfilt.srf_update, b, y, noise_std),
+                            outcome(old_srf_update, b, y, noise_std))
+
+    @pytest.mark.parametrize("kind", [EKF, UKF, CKF, GHF])
+    @pytest.mark.parametrize("n", [4, 5])
+    @given(data=st.data(), y=bearings, noise_std=noise_stds)
+    @settings(max_examples=60, deadline=None)
+    def test_update(self, kind, n, data, y, noise_std):
+        b = data.draw(beliefs(n))
+        assert_same_outcome(outcome(gaussfilt.update, b, y, noise_std, kind),
+                            outcome(old_update, b, y, noise_std, kind))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_seeded_beliefs_all_kinds(self, n):
+        # typical beliefs, none of which fails; the property tests above
+        # also reach the failures
+        for seed in range(40):
+            b = belief_from_seed(seed, n)
+            y = float(np.random.default_rng(seed).uniform(-math.pi, math.pi))
+            want = outcome(old_srf_update, b, y, 0.0175)
+            assert not isinstance(want, str)
+            assert_same_outcome(outcome(gaussfilt.srf_update, b, y, 0.0175), want)
+            for kind in (EKF, UKF, CKF, GHF):
+                assert_same_outcome(outcome(gaussfilt.update, b, y, 0.0175, kind),
+                                    outcome(old_update, b, y, 0.0175, kind))
+
+
+all_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestSymmetrize:
+    @given(n=st.sampled_from([2, 4, 5]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_old_expression(self, n, data):
+        P = np.reshape(data.draw(st.lists(all_floats, min_size=n * n, max_size=n * n)), (n, n))
+        with np.errstate(all="ignore"):
+            got, want = gaussfilt.symmetrize(P), old_symmetrize(P)
+        assert_same_bits(got, want)
+
+
+weights = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+class TestFuse:
+    @pytest.mark.parametrize("n", [4, 5])
+    @given(data=st.data(), w1=weights, w2=weights)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_old_expression(self, n, data, w1, w2):
+        b1, b2 = data.draw(beliefs(n)), data.draw(beliefs(n))
+        got, want = lrtma.fuse(b1, b2, (w1, w2)), old_fuse(b1, b2, (w1, w2))
+        assert_same_bits(got.mean, want.mean)
+        assert_same_bits(got.cov, want.cov)
+
+    @pytest.mark.parametrize("w", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.0, 0.0)])
+    def test_corner_weights(self, w):
+        b1, b2 = belief_from_seed(1, 5), belief_from_seed(2, 5)
+        got, want = lrtma.fuse(b1, b2, w), old_fuse(b1, b2, w)
+        assert_same_bits(got.mean, want.mean)
+        assert_same_bits(got.cov, want.cov)
+
+
+class TestCvTransition:
+    @given(x=st.lists(all_floats, min_size=4, max_size=4),
+           T=st.sampled_from([0.5, 1.0, 2.0]) | all_floats)
+    @settings(max_examples=300, deadline=None)
+    def test_single_state_matches_one_row_batch(self, x, T):
+        s = np.array(x)
+        with np.errstate(all="ignore"):
+            single = kinematics.cv_transition(s, T)
+            batch = kinematics.cv_transition(s[None], T)[0]
+            old = old_cv_transition(s, T)
+        assert_same_bits(single, batch)
+        assert_same_bits(single, old)
+
+
+# random angles, +/-pi, odd multiples of pi and their neighbouring floats,
+# signed zeros, a huge angle and the non-finite values
+_ODD_PI = [k * math.pi for k in (1, 3, 5, 7, 101, 1e6 + 1)]
+EDGE_ANGLES = [0.0, 1e300, math.inf, math.nan] + [
+    v for a in _ODD_PI for v in (a, np.nextafter(a, 0.0), np.nextafter(a, math.inf))
+] + [TWO_PI, 2.5 * TWO_PI]
+EDGE_ANGLES = [float(s * a) for a in EDGE_ANGLES for s in (1.0, -1.0)]
+
+
+class TestWrapAngle:
+    def test_array_branch_on_edge_angles(self):
+        a = np.array(EDGE_ANGLES)
+        with np.errstate(all="ignore"):
+            assert_same_bits(sensing.wrap_angle(a), old_wrap_angle(a))
+
+    @given(angles=st.lists(st.sampled_from(EDGE_ANGLES) | st.floats(-50.0, 50.0) | all_floats,
+                           min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_array_branch_matches_old_expression(self, angles):
+        a = np.array(angles)
+        with np.errstate(all="ignore"):
+            got = sensing.wrap_angle(a)
+            assert_same_bits(got, old_wrap_angle(a))
+            assert_same_bits(sensing.wrap_angle(a.reshape(1, -1)), got[None])
+            # the input is left alone
+            assert_same_bits(a, np.array(angles))
+
+    @given(a=st.sampled_from(EDGE_ANGLES) | all_floats)
+    @settings(max_examples=300, deadline=None)
+    def test_float_and_array_branches_agree(self, a):
+        with np.errstate(all="ignore"):
+            scalar = sensing.wrap_angle(a)
+            zero_d = sensing.wrap_angle(np.array(a))
+            assert isinstance(scalar, float) and isinstance(zero_d, float)
+            # round() returns the int 0, which has no sign, so the float
+            # branch keeps -0.0 where rint's -0.0 turns it into +0.0
+            if not (a == 0.0 and math.copysign(1.0, a) < 0):
+                assert_same_bits(scalar, sensing.wrap_angle(np.array([a]))[0])
+            assert_same_bits(zero_d, old_wrap_angle(np.array(a)))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_gives_nan(self, a):
+        # round() raises on these; the array branch has always given NaN
+        with np.errstate(all="ignore"):
+            assert math.isnan(sensing.wrap_angle(a))
+            assert_same_bits(sensing.wrap_angle(a), old_wrap_angle(np.array([a]))[0])

@@ -439,6 +439,17 @@ class TestSideStep:
         with np.errstate(invalid="ignore"), pytest.raises(gaussfilt.FilterNumericsError):
             lrtma.side_step(bank.belief1, pair.y1, o1, o2, model, kind, sigma)
 
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", gaussfilt.FILTER_KINDS)
+    def test_non_finite_bearing_is_a_filter_failure(self, kind, y):
+        # the wrapped innovation of a non-finite bearing is NaN, so the step
+        # fails with the error a Monte Carlo run flags, never with the
+        # ValueError or OverflowError that round() raises
+        bank, pair, o1, o2, model, sigma = one_step_inputs()
+        bad = BearingPair(y1=y, y2=pair.y2, heading=pair.heading, t=pair.t)
+        with np.errstate(invalid="ignore"), pytest.raises(gaussfilt.FilterNumericsError):
+            step(bank, bad, o1, o2, model, kind, sigma)
+
     @pytest.mark.parametrize("kind", ["ekf", "srf"])
     def test_step_rejects_one_non_finite_side(self, monkeypatch, kind):
         bank, pair, o1, o2, model, sigma = one_step_inputs()

@@ -1,0 +1,137 @@
+"""Alternated benchmark pairs of a parent revision and this working tree.
+
+Usage (from anywhere inside the repository):
+
+    python3 tools/bench_pairs.py --label pr11 --parent HEAD \\
+        --workload mc-cv-light --seeds 201-210 --seconds 20
+
+The parent revision is exported with ``git archive`` into a temporary
+directory. For each seed the tool then runs ``benchmarks/run.py --trace 0``
+once on each tree, alternating which tree goes first, and writes
+``BENCH_<label>.json`` at the repository root. The file records every
+run's last-line JSON with its seed, tree and order, the machine's core
+count (``os.cpu_count()``) and the cores this process may run on
+(``sched_getaffinity``), and for each end-to-end metric of
+``BENCHMARK.json`` both trees' medians and quartiles and the number of
+pairs the change wins (ties count for neither). Running it again with the
+same label and parent adds or replaces one workload's entry.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+
+
+def _seeds(spec: str) -> list[int]:
+    """Seeds from a list like ``201-205,301``."""
+    out: list[int] = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _spread(xs: list[float]) -> dict:
+    q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
+    return {"median": q[1], "q1": q[0], "q3": q[2]}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric medians, quartiles and wins of the change over its pair."""
+    pairs: dict[int, dict[str, dict]] = {}
+    for r in runs:
+        pairs.setdefault(r["seed"], {})[r["tree"]] = r["result"]["metrics"]
+    out = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        parent = [p["parent"][name]["value"] for p in pairs.values()]
+        change = [p["change"][name]["value"] for p in pairs.values()]
+        p, c = _spread(parent), _spread(change)
+        out[name] = {
+            "parent": p,
+            "change": c,
+            "wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
+            "pairs": len(pairs),
+            "median_change_pct": 100.0 * (c["median"] / p["median"] - 1.0) if p["median"] else None,
+            "beyond_parent_iqr": sign * (c["median"] - p["median"]) > p["q3"] - p["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, type=_seeds, help="e.g. 201-210")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    commit = _git("rev-parse", args.parent).decode().strip()
+    out_path = ROOT / f"BENCH_{args.label}.json"
+    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    if doc and doc["parent_commit"] != commit:
+        print(f"{out_path.name} compares against {doc['parent_commit']}, not {commit}",
+              file=sys.stderr)
+        return 2
+
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=_git("archive", commit), check=True)
+        trees = {"parent": Path(tmp), "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for pos, tree in enumerate(order):
+                res = _run(trees[tree], args.workload, seed, args.seconds)
+                runs.append({"seed": seed, "tree": tree, "order": pos, "result": res})
+                rps = res["metrics"]["runs_per_s"]["value"]
+                print(f"seed {seed} {tree:6s} runs/s {rps:8.2f} correct {res['correct']} "
+                      f"failed {res['failed']}", file=sys.stderr)
+
+    doc.update({
+        "label": args.label,
+        "parent": args.parent,
+        "parent_commit": commit,
+        "change": {"head": _git("rev-parse", "HEAD").decode().strip(),
+                   "uncommitted_changes": bool(_git("status", "--porcelain").strip())},
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
+        "command": "benchmarks/run.py --trace 0",
+    })
+    doc.setdefault("workloads", {})[args.workload] = {
+        "seconds": args.seconds,
+        "seeds": args.seeds,
+        "runs": runs,
+        "summary": summarize(runs, better),
+    }
+    out_path.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, s in doc["workloads"][args.workload]["summary"].items():
+        print(f"{name:12s} parent {s['parent']['median']:10.3f}  change "
+              f"{s['change']['median']:10.3f}  wins {s['wins']}/{s['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

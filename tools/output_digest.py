@@ -5,7 +5,7 @@ Run it on two trees and compare the last line:
     python3 tools/output_digest.py
 
 It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
-and hashes four parts, printing each part's digest to stderr:
+and hashes five parts, printing each part's digest to stderr:
 
 * ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
   per run the side beliefs, fused estimates and log-odds of every step,
@@ -16,6 +16,13 @@ and hashes four parts, printing each part's digest to stderr:
   ``process_jacobian`` and ``observer_input`` over a fixed set of turn
   rates: signed zeros, subnormals, both sides of ``PSI_EPS`` and its
   neighbouring floats, large and non-finite values, at three intervals.
+* ``filters``: 100 random beliefs at n = 4 and n = 5 through ``update``
+  for every filter kind but the SRF, ``srf_update``, ``symmetrize`` and
+  ``lrtma.fuse`` (weights 0, 1, 1/2 and random), with ``cv_transition`` on
+  single states and one batch, and ``wrap_angle`` on an array of edge
+  angles: odd multiples of pi and their neighbouring floats, signed zeros,
+  1e300, +/-inf and NaN. It reaches the measurement layer directly, where
+  the scenarios of ``runs`` may never go.
 * ``files``: the byte-reproducible files of ``towedtma montecarlo
   --filter all --case all --mode all --runs 20`` (metric series and
   ``summary.json``) and of ``towedtma track --case cv`` / ``--case ct``,
@@ -38,10 +45,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from towedtma import cli, gaussfilt, kinematics, simkit  # noqa: E402
+from towedtma import cli, gaussfilt, kinematics, lrtma, sensing, simkit  # noqa: E402
 
 RUNS, SEED = 15, 3
 POINT_KINDS = (gaussfilt.UKF, gaussfilt.CKF, gaussfilt.GHF, gaussfilt.SRF)
+MOMENT_KINDS = (gaussfilt.EKF, gaussfilt.UKF, gaussfilt.CKF, gaussfilt.GHF)
 
 
 def _feed(h, *arrays) -> None:
@@ -93,6 +101,39 @@ def kinematics_digest(h) -> None:
                       kinematics.observer_input(o0, o1, model, x))
 
 
+def filters_digest(h) -> None:
+    rng = np.random.default_rng(SEED)
+    weights = (0.0, 1.0, 0.5)
+    for n in (4, 5):
+        prev = None
+        for i in range(100):
+            A = rng.normal(size=(n, n))
+            b = gaussfilt.GaussianBelief(10.0 * rng.normal(size=n), A @ A.T + 0.1 * np.eye(n))
+            y, sigma = rng.uniform(-np.pi, np.pi), rng.uniform(1e-3, 0.1)
+            outs = [gaussfilt.update(b, y, sigma, kind) for kind in MOMENT_KINDS]
+            outs.append(gaussfilt.srf_update(b, y, sigma))
+            for out in outs:
+                _feed(h, out.posterior.mean, out.posterior.cov,
+                      [out.pred_meas, out.innov_cov, out.log_likelihood])
+            _feed(h, gaussfilt.symmetrize(A))
+            if prev is not None:
+                w = weights[i % 3] if i % 4 else rng.uniform()
+                fused = lrtma.fuse(prev, b, (w, 1.0 - w))
+                _feed(h, fused.mean, fused.cov)
+            prev = b
+    states = rng.normal(size=(100, 4))
+    for T in (0.5, 1.0, 2.0):
+        _feed(h, kinematics.cv_transition(states, T))
+        for x in states:
+            _feed(h, kinematics.cv_transition(x, T))
+    odd_pi = [k * np.pi for k in (1, 3, 5, 7, 101, 1e6 + 1)]
+    edges = [0.0, 1e300, np.inf, np.nan, 2 * np.pi] + [
+        v for a in odd_pi for v in (a, np.nextafter(a, 0.0), np.nextafter(a, np.inf))]
+    angles = np.concatenate([edges, -np.array(edges), rng.uniform(-50.0, 50.0, size=100)])
+    with np.errstate(invalid="ignore"):
+        _feed(h, sensing.wrap_angle(angles))
+
+
 def files_digest(h) -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp)
@@ -111,7 +152,8 @@ def files_digest(h) -> None:
 def main() -> int:
     total = hashlib.sha256()
     for name, part in (("runs", runs_digest), ("points", points_digest),
-                       ("kinematics", kinematics_digest), ("files", files_digest)):
+                       ("kinematics", kinematics_digest), ("filters", filters_digest),
+                       ("files", files_digest)):
         h = hashlib.sha256()
         part(h)
         print(f"{name}: {h.hexdigest()}", file=sys.stderr)
