@@ -30,7 +30,7 @@ reset from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,10 @@ from . import gaussfilt, kinematics, sensing
 from .gaussfilt import GaussianBelief, UpdateOutcome
 from .kinematics import MotionModel, ObserverState
 from .sensing import BearingPair
+
+# A bank whose larger side weight reaches this has decided its side.
+DECIDED_WEIGHT = 0.99
+
 
 @dataclass(frozen=True)
 class InitPrior:
@@ -64,14 +68,24 @@ class InitPrior:
 class FilterBankState:
     """The two side beliefs, their log-odds, and the fused output.
 
-    ``log_odds`` is log w1 - log w2; +inf pins all weight on side 1.
+    ``log_odds`` is log w1 - log w2. ``fused`` is derived on construction:
+    the weighted mixture of the sides for finite log-odds. Infinite log-odds
+    settle the bank on one side (+inf: side 1, -inf: side 2), and ``fused``
+    is then that side's belief object itself.
     """
 
     belief1: GaussianBelief
     belief2: GaussianBelief
     log_odds: float
-    fused: GaussianBelief
     t: int
+    fused: GaussianBelief = field(init=False)
+
+    def __post_init__(self) -> None:
+        if math.isinf(self.log_odds):
+            # not fuse(b, b, (1, 0)): its symmetrize would move the bits
+            self.fused = self.belief1 if self.log_odds > 0 else self.belief2
+        else:
+            self.fused = fuse(self.belief1, self.belief2, side_weights(self.log_odds))
 
     @property
     def w1(self) -> float:
@@ -168,15 +182,6 @@ def fuse(
     return GaussianBelief(mean=mean, cov=gaussfilt.symmetrize(cov))
 
 
-def bank_from_sides(
-    b1: GaussianBelief, b2: GaussianBelief, t: int
-) -> FilterBankState:
-    """Bank holding two fresh side beliefs at equal weights."""
-    return FilterBankState(
-        belief1=b1, belief2=b2, log_odds=0.0, fused=fuse(b1, b2, (0.5, 0.5)), t=t
-    )
-
-
 def init_bank(
     pair: BearingPair,
     prior: InitPrior,
@@ -186,7 +191,7 @@ def init_bank(
     """Start the bank from the first mirrored pair with equal weights."""
     b1 = init_side(pair.y1, prior, obs, model)
     b2 = init_side(pair.y2, prior, obs, model)
-    return bank_from_sides(b1, b2, pair.t)
+    return FilterBankState(b1, b2, 0.0, pair.t)
 
 
 def side_step(
@@ -223,18 +228,18 @@ def step(
 ) -> FilterBankState:
     """One recursion of the bank: :func:`side_step` on each side, weight, fuse.
 
+    A settled bank (infinite log-odds) steps only its live side, on that
+    slot's bearing, and keeps its log-odds; a side of weight 0 cannot move
+    the fused output. Both slots then hold the live side's posterior.
     Numerical failures propagate as exceptions; the Monte Carlo harness
     flags the run as diverged rather than aborting.
     """
-    out1, out2 = (
-        side_step(belief, y, obs_prev, obs_now, model, filter_kind, noise_std)
-        for belief, y in ((bank.belief1, meas.y1), (bank.belief2, meas.y2))
-    )
+    args = (obs_prev, obs_now, model, filter_kind, noise_std)
+    if math.isinf(bank.log_odds):
+        live, y = (bank.belief1, meas.y1) if bank.log_odds > 0 else (bank.belief2, meas.y2)
+        post = side_step(live, y, *args).posterior
+        return FilterBankState(post, post, bank.log_odds, bank.t + 1)
+    out1 = side_step(bank.belief1, meas.y1, *args)
+    out2 = side_step(bank.belief2, meas.y2, *args)
     log_odds = update_log_odds(bank.log_odds, out1.log_likelihood, out2.log_likelihood)
-    return FilterBankState(
-        belief1=out1.posterior,
-        belief2=out2.posterior,
-        log_odds=log_odds,
-        fused=fuse(out1.posterior, out2.posterior, side_weights(log_odds)),
-        t=bank.t + 1,
-    )
+    return FilterBankState(out1.posterior, out2.posterior, log_odds, bank.t + 1)

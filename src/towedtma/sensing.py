@@ -41,7 +41,7 @@ def wrap_angle(a):
     """Wrap an angle (or array of angles) to (-pi, pi].
 
     A non-finite angle gives NaN. A float and a one-element array give the
-    same bits, except that the float branch keeps the sign of -0.0.
+    same bits; both give +0.0 for -0.0.
     """
     if isinstance(a, (float, int)):
         if not math.isfinite(a):
@@ -52,7 +52,7 @@ def wrap_angle(a):
             w -= TWO_PI
         elif w <= -np.pi:
             w += TWO_PI
-        return w
+        return w + 0.0  # exact, and -0.0 becomes +0.0 as on the array branch
     a = np.asarray(a, dtype=float)
     # a 0-d input gives a numpy scalar, which the masks cannot write to
     w = np.atleast_1d(a - TWO_PI * np.rint(a / TWO_PI))

@@ -354,12 +354,12 @@ def simulate_run(
 ) -> RunRecord:
     """Simulate one run: truth, mirrored bearings, and the tracker.
 
-    In "resolved" mode the two-filter bank processes both bearing slots; in
-    "known-side" mode the bank's true side alone, started identically, is
-    fed only the true-side bearing through the same per-side kernel
-    (:func:`lrtma.side_step`), and its estimate is stored in both bank
-    slots with the weight locked. Numerical failures mark the run diverged
-    with a failure code instead of raising.
+    Both modes run one :func:`lrtma.step` loop. The "resolved" bank starts
+    at equal weights on both slots. The "known-side" bank holds the true
+    side, started identically, in both slots, settled on slot 1 (log-odds
+    +inf), and is fed the pairs with the true detection in slot 1.
+    ``measurements`` holds the resolved bank's pairs in both modes.
+    Numerical failures mark the run diverged with a failure code instead of raising.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -409,19 +409,15 @@ def simulate_run(
     t0 = time.perf_counter()
     try:
         if mode == RESOLVED:
-            bank = lrtma.bank_from_sides(init(1), init(2), pairs[0].t)
+            bank, feed = FilterBankState(init(1), init(2), 0.0, pairs[0].t), pairs
         else:
-            bank = _single_state(init(true_slot), pairs[0].t)
+            b = init(true_slot)
+            bank, feed = FilterBankState(b, b, math.inf, pairs[0].t), pairs_true_first
         estimates.append(bank)
         for k in range(2, H + 1):
-            pair = pairs[k - 1]
-            args = (observers[k - 1], observers[k], model, cfg.filter_kind, sigma)
-            if mode == RESOLVED:
-                bank = lrtma.step(bank, pair, *args)
-            else:
-                y = pair.y1 if true_slot == 1 else pair.y2
-                out = lrtma.side_step(bank.fused, y, *args)
-                bank = _single_state(out.posterior, k)
+            bank = lrtma.step(
+                bank, feed[k - 1], observers[k - 1], observers[k], model, cfg.filter_kind, sigma
+            )
             estimates.append(bank)
     except (gaussfilt.FilterNumericsError, sensing.ZeroRangeError, np.linalg.LinAlgError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
@@ -450,12 +446,6 @@ def simulate_run(
         failure=failure,
         true_slot=true_slot,
         terminal_range_error=term_err,
-    )
-
-
-def _single_state(belief: GaussianBelief, t: int) -> FilterBankState:
-    return FilterBankState(
-        belief1=belief, belief2=belief, log_odds=math.inf, fused=belief, t=t
     )
 
 
@@ -491,7 +481,7 @@ def summarize_run(rec: RunRecord) -> RunSummary:
     fused = np.array([est.fused.mean for est in rec.estimates])
     truth = np.asarray(rec.truth_rel)[: len(fused)]
     first_decided = next(
-        (est.t for est in rec.estimates if max(lrtma.side_weights(est.log_odds)) >= 0.99),
+        (e.t for e in rec.estimates if max(lrtma.side_weights(e.log_odds)) >= lrtma.DECIDED_WEIGHT),
         None,
     )
     return RunSummary(

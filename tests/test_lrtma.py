@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,21 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse(b1, b2, (0.5, 0.5))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([4, 5]),
+        log_odds=st.sampled_from([0.0, 1e3, -1e3])
+        | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bank_fuses_sides_at_finite_log_odds(self, seed, n, log_odds):
+        rng = np.random.default_rng(seed)
+        b1, b2 = (self._belief(rng.normal(size=n), A @ A.T) for A in rng.normal(size=(2, n, n)))
+        got = lrtma.FilterBankState(b1, b2, log_odds, 1).fused
+        want = fuse(b1, b2, side_weights(log_odds))
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+
     def test_interior_weights_spread_covariance(self):
         rng = np.random.default_rng(1)
         b1 = self._belief(rng.normal(size=4), np.eye(4))
@@ -300,7 +317,7 @@ def run_near_noiseless_bank(model_kind=CV, steps=30, filter_kind=EKF):
         return GaussianBelief(mean=mean, cov=cov)
 
     mirror = sensing.reflect_state(truth[0], obs[1].heading)
-    banks = [lrtma.bank_from_sides(side(truth[0]), side(mirror), 1)]
+    banks = [lrtma.FilterBankState(side(truth[0]), side(mirror), 0.0, 1)]
     for k in range(2, steps + 1):
         pair = sensing.measure(truth[k - 1], obs[k].heading, sigma, rng, t=k)
         banks.append(step(banks[-1], pair, obs[k - 1], obs[k], model, filter_kind, sigma))
@@ -420,6 +437,29 @@ class TestSideStep:
             want = lrtma.side_step(belief, y, o1, o2, model, kind, sigma).posterior
             assert np.array_equal(got.mean, want.mean)
             assert np.array_equal(got.cov, want.cov)
+
+    @pytest.mark.parametrize("log_odds", [math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["ekf", "srf"])
+    def test_settled_bank_steps_its_live_side_only(self, monkeypatch, kind, log_odds):
+        bank, pair, o1, o2, model, sigma = one_step_inputs()
+        live, y = (bank.belief1, pair.y1) if log_odds > 0 else (bank.belief2, pair.y2)
+        settled = lrtma.FilterBankState(bank.belief1, bank.belief2, log_odds, bank.t)
+        assert settled.fused is live
+        real, calls = lrtma.side_step, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lrtma, "side_step", counted)
+        nxt = step(settled, pair, o1, o2, model, kind, sigma)
+        assert len(calls) == 1
+        assert calls[0][0] is live and calls[0][1] == y
+        want = real(live, y, o1, o2, model, kind, sigma).posterior
+        assert nxt.belief1 is nxt.belief2 is nxt.fused
+        assert nxt.fused.mean.tobytes() == want.mean.tobytes()
+        assert nxt.fused.cov.tobytes() == want.cov.tobytes()
+        assert nxt.log_odds == log_odds and nxt.t == bank.t + 1
 
     @pytest.mark.parametrize("kind", ["ekf", "srf"])
     def test_side_step_rejects_non_finite_posterior(self, monkeypatch, kind):

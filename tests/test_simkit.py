@@ -321,7 +321,17 @@ class TestMonteCarlo:
             assert np.array_equal(kn.estimates[0].fused.cov, true_belief.cov)
         assert slots == {1, 2}
 
-    def test_known_side_run_is_a_side_step_loop(self):
+    def test_known_side_run_is_a_side_step_loop(self, monkeypatch):
+        # the run is a bank settled on slot 1 (log-odds +inf) that holds the
+        # true side in both slots and is stepped by lrtma.step; run 1 has
+        # its true detection in slot 2, so the feed reorders its pairs
+        real_step, stepped = lrtma.step, []
+
+        def counted(bank, *args):
+            stepped.append(bank.log_odds)
+            return real_step(bank, *args)
+
+        monkeypatch.setattr(lrtma, "step", counted)
         for kind, case in (("ekf", CV), ("srf", CT)):
             cfg = ScenarioConfig(filter_kind=kind, model_kind=case)
             rec = simulate_run(cfg, run_seed(cfg.seed, 1), mode=KNOWN_SIDE)
@@ -339,6 +349,10 @@ class TestMonteCarlo:
                 assert est.t == k
                 assert np.array_equal(est.fused.mean, belief.mean)
                 assert np.array_equal(est.fused.cov, belief.cov)
+            for est in rec.estimates:
+                assert est.log_odds == math.inf
+                assert est.belief1 is est.belief2 is est.fused
+        assert stepped == [math.inf] * (2 * (cfg.horizon - 1))
 
     def test_n_runs_validation(self):
         with pytest.raises(ConfigError, match="^n_runs: "):
