@@ -276,11 +276,7 @@ def process_jacobian(model: MotionModel, state: np.ndarray) -> np.ndarray:
         da = -psi * T**3 / 3.0
         db = T**2 / 2.0
     else:
-        # libm pow, as numpy's scalar power rounds psi**2 (x*x may differ)
-        try:
-            psi2 = psi**2
-        except OverflowError:  # numpy's power gives inf here
-            psi2 = math.inf
+        psi2 = psi * psi  # inf, not OverflowError, past the float range
         da = (psi * T * cs - sn) / psi2
         db = (psi * T * sn - (1.0 - cs)) / psi2
     return np.array(

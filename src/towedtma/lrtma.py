@@ -30,11 +30,12 @@ reset from it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gaussfilt, kinematics, sensing
+from . import gaussfilt, kinematics
 from .gaussfilt import GaussianBelief, UpdateOutcome
 from .kinematics import MotionModel, ObserverState
 from .sensing import BearingPair
@@ -59,7 +60,7 @@ class InitPrior:
     sigma_psi: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma_r", "sigma_theta", "sigma_s", "sigma_c"):
+        for name in ("sigma_r", "sigma_theta", "sigma_s", "sigma_c", "r_bar", "sigma_psi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -96,45 +97,45 @@ class FilterBankState:
         return side_weights(self.log_odds)[1]
 
 
+def _polar_cov(th: float, rho: float, sigma_rho: float, sigma_ang: float) -> np.ndarray:
+    """Linearized covariance of rho * (sin th, cos th) under polar spreads."""
+    J = np.array([[np.sin(th), rho * np.cos(th)], [np.cos(th), -rho * np.sin(th)]])
+    return J @ np.diag([sigma_rho**2, sigma_ang**2]) @ J.T
+
+
 def init_side(
     first_bearing: float,
     prior: InitPrior,
     obs: ObserverState,
     model: MotionModel,
+    draw: Sequence[float] = (0.0, 0.0, 0.0, 0.0, 0.0),
 ) -> GaussianBelief:
     """Relative-state belief from one first bearing and the polar prior.
 
-    The position mean sits at the prior range along the bearing ray; the
-    velocity mean assumes the prior speed on the closing course
-    (bearing + pi) minus the known observer velocity. The covariance is
-    the polar prior pushed through the linearized polar-to-Cartesian map.
-    A turn-rate component after the velocity (CT) gets zero mean.
+    The mean is the polar point ``draw`` standard deviations from the prior
+    means of (range, bearing, speed, course, turn rate): the position at
+    the range along the bearing ray, and the target closing on the course
+    c = bearing + course offset, i.e. velocity -speed * (sin c, cos c)
+    less the known observer velocity. Negating the bearing direction, not
+    adding pi, keeps the side of a mirrored bearing exactly mirrored. A
+    turn-rate component (CT) follows the velocity. The covariance is the
+    undrawn prior pushed through the linearized polar map; the velocity's
+    Jacobian is the negated position form, whose sign cancels.
     """
-    th = first_bearing
-    cbar = sensing.wrap_angle(th + np.pi)
-    pos = prior.r_bar * np.array([np.sin(th), np.cos(th)])
-    vel = prior.s_bar * np.array([np.sin(cbar), np.cos(cbar)]) - obs.vel
-
-    Jp = np.array(
-        [
-            [np.sin(th), prior.r_bar * np.cos(th)],
-            [np.cos(th), -prior.r_bar * np.sin(th)],
-        ]
-    )
-    Jv = np.array(
-        [
-            [np.sin(cbar), prior.s_bar * np.cos(cbar)],
-            [np.cos(cbar), -prior.s_bar * np.sin(cbar)],
-        ]
-    )
-    Ppos = Jp @ np.diag([prior.sigma_r**2, prior.sigma_theta**2]) @ Jp.T
-    Pvel = Jv @ np.diag([prior.sigma_s**2, prior.sigma_c**2]) @ Jv.T
+    d_r, d_th, d_s, d_c, d_psi = draw
+    b = first_bearing + prior.sigma_theta * d_th
+    c = b + prior.sigma_c * d_c
+    r = prior.r_bar + prior.sigma_r * d_r
+    s = prior.s_bar + prior.sigma_s * d_s
 
     n = model.dim
     mean = np.zeros(n)
     cov = np.zeros((n, n))
-    mean[0:2], mean[2:4] = pos, vel
-    cov[0:2, 0:2], cov[2:4, 2:4] = Ppos, Pvel
+    mean[0:2] = r * np.array([np.sin(b), np.cos(b)])
+    mean[2:4] = -s * np.array([np.sin(c), np.cos(c)]) - obs.vel
+    mean[4:] = prior.sigma_psi * d_psi
+    cov[0:2, 0:2] = _polar_cov(first_bearing, prior.r_bar, prior.sigma_r, prior.sigma_theta)
+    cov[2:4, 2:4] = _polar_cov(first_bearing, prior.s_bar, prior.sigma_s, prior.sigma_c)
     cov[4:, 4:] = prior.sigma_psi**2
     return GaussianBelief(mean=mean, cov=cov)
 

@@ -397,12 +397,11 @@ def simulate_run(
     # hypotheses perfectly matched until the geometry separates them, and
     # keeps known-side runs paired with the bank's true side.
     polar_draw = rng_init.standard_normal(5)
-    obs1 = observers[1]
+    mirror_draw = polar_draw * (1, -1, 1, -1, -1)
 
     def init(slot: int) -> GaussianBelief:
-        y0 = pairs[0].y1 if slot == 1 else pairs[0].y2
-        sign = 1.0 if slot == 1 else -1.0
-        return _drawn_side(y0, sign, polar_draw, prior, obs1, model)
+        y0, draw = (pairs[0].y1, polar_draw) if slot == 1 else (pairs[0].y2, mirror_draw)
+        return lrtma.init_side(y0, prior, observers[1], model, draw)
 
     estimates: list[FilterBankState] = []
     failure: Optional[str] = None
@@ -447,33 +446,6 @@ def simulate_run(
         true_slot=true_slot,
         terminal_range_error=term_err,
     )
-
-
-def _drawn_side(
-    bearing: float,
-    sign: float,
-    z: np.ndarray,
-    prior: InitPrior,
-    obs: ObserverState,
-    model: MotionModel,
-) -> GaussianBelief:
-    """Side belief whose mean is one polar draw from the prior.
-
-    ``z`` holds standard-normal offsets for (range, bearing, speed, course,
-    turn rate); ``sign`` is -1 on the mirror side so the two hypotheses
-    receive mirror-image perturbations of the same draw. The claimed
-    covariance stays the side's linearized prior.
-    """
-    r = prior.r_bar + prior.sigma_r * z[0]
-    th = bearing + sign * prior.sigma_theta * z[1]
-    s = prior.s_bar + prior.sigma_s * z[2]
-    c = th + np.pi + sign * prior.sigma_c * z[3]
-    mean = np.zeros(model.dim)
-    mean[0:2] = r * np.array([np.sin(th), np.cos(th)])
-    mean[2:4] = s * np.array([np.sin(c), np.cos(c)]) - obs.vel
-    mean[4:] = sign * prior.sigma_psi * z[4]
-    cov = lrtma.init_side(bearing, prior, obs, model).cov
-    return GaussianBelief(mean=mean, cov=cov)
 
 
 def summarize_run(rec: RunRecord) -> RunSummary:

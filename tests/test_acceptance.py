@@ -14,8 +14,10 @@ import pytest
 import towedtma as tt
 from towedtma import evalkit, gaussfilt, kinematics, lrtma, sensing, simkit
 from towedtma.gaussfilt import CKF, EKF, GHF, SRF, UKF, GaussianBelief
-from towedtma.kinematics import CV, MotionModel, ObserverState
-from towedtma.sensing import BearingPair, wrap_angle
+from towedtma.kinematics import CV, MotionModel
+from towedtma.sensing import wrap_angle
+
+from mirror_scenario import mirrored_banks, reflects_exactly
 
 WORKERS = 2
 Z99 = 2.576  # two-sided 99% normal quantile
@@ -356,7 +358,7 @@ def test_ac8_numerical_hygiene():
 
     # exact mirror equivariance of the bank under reflected noise (EKF arithmetic
     # is sign-exact for a reflection across true north)
-    mirror_ok = _mirror_equivariance_exact()
+    mirror_ok = all(_mirror_equivariance_exact(*case) for case in MIRROR_CASES)
 
     ok = jac_ok and moments_ok and mirror_ok
     _report(
@@ -371,52 +373,10 @@ def test_ac8_numerical_hygiene():
     assert mirror_ok
 
 
-def _mirror_equivariance_exact() -> bool:
-    model = MotionModel(kind=CV, T=1.0, q1=1.944e-6)
-    prior = tt.ScenarioConfig().prior()
-    rng = np.random.default_rng(88)
-    D = np.diag([-1.0, 1.0, -1.0, 1.0])
+# (first bearing in degrees, bearing-noise seed) of the mirrored scenarios
+MIRROR_CASES = ((45.0, 88), (60.0, 123), (-100.0, 7))
 
-    def refl(o):
-        return ObserverState(x=-o.x, y=o.y, vx=-o.vx, vy=o.vy, heading=-o.heading)
 
-    cfg = tt.ScenarioConfig(model_kind=CV)
-    observers = simkit.gen_observer_track(cfg)
-    target = simkit.gen_target_track(cfg)
-    rel = simkit.relative_truth(target, observers)
-    nu = rng.normal(size=cfg.horizon + 1) * cfg.sigma_theta_rad
-
-    pairs, pairs_r = [], []
-    for k in range(1, cfg.horizon + 1):
-        theta = sensing.true_bearing(rel[k])
-        h = observers[k].heading
-        y1 = wrap_angle(theta + nu[k])
-        y2 = wrap_angle(2.0 * h - y1)
-        pairs.append(BearingPair(y1=y1, y2=y2, heading=h, t=k))
-        pairs_r.append(BearingPair(y1=-y2, y2=-y1, heading=-h, t=k))
-
-    bank = lrtma.init_bank(pairs[0], prior, observers[1], model)
-    bank_r = lrtma.init_bank(pairs_r[0], prior, refl(observers[1]), model)
-    sigma = cfg.sigma_theta_rad
-    for k in range(2, cfg.horizon + 1):
-        bank = lrtma.step(
-            bank, pairs[k - 1], observers[k - 1], observers[k], model, EKF, sigma
-        )
-        bank_r = lrtma.step(
-            bank_r,
-            pairs_r[k - 1],
-            refl(observers[k - 1]),
-            refl(observers[k]),
-            model,
-            EKF,
-            sigma,
-        )
-        if bank_r.w1 != bank.w2 or bank_r.w2 != bank.w1:
-            return False
-        if not np.array_equal(bank_r.belief1.mean, D @ bank.belief2.mean):
-            return False
-        if not np.array_equal(bank_r.fused.mean, D @ bank.fused.mean):
-            return False
-        if not np.array_equal(bank_r.fused.cov, D @ bank.fused.cov @ D):
-            return False
-    return True
+def _mirror_equivariance_exact(bearing_deg: float, noise_seed: int) -> bool:
+    cfg = tt.ScenarioConfig(model_kind=CV, initial_bearing_deg=bearing_deg)
+    return all(reflects_exactly(*banks) for banks in mirrored_banks(cfg, EKF, noise_seed))

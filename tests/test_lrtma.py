@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towedtma import gaussfilt, kinematics, lrtma, sensing, simkit
@@ -18,6 +19,14 @@ from towedtma.lrtma import (
     update_log_odds,
 )
 from towedtma.sensing import BearingPair, wrap_angle
+
+from mirror_scenario import (
+    mirrored_banks,
+    reflect_observer,
+    reflect_pair,
+    reflection,
+    reflects_exactly,
+)
 
 
 def default_prior():
@@ -118,6 +127,55 @@ class TestInitSide:
         assert np.allclose(b.cov[2:4, 2:4], want, rtol=1e-12)
         for i in range(2, 4):
             assert 0.5 < b.cov[i, i] / emp[i, i] < 2.0
+
+    @given(
+        theta=st.floats(-np.pi, np.pi),
+        draw=st.lists(st.floats(-1.9, 1.9), min_size=5, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_mean_is_its_polar_point(self, theta, draw):
+        # read range, bearing, speed, course and turn rate back from the mean
+        prior, obs = default_prior(), observer()
+        model = MotionModel(kind=CT, T=1.0, q1=1e-6, q2=1e-7)
+        b = init_side(theta, prior, obs, model, draw)
+        d_r, d_th, d_s, d_c, d_psi = draw
+        x, y, vx, vy, psi = b.mean
+        vx, vy = vx + obs.vx, vy + obs.vy  # the target's own velocity
+        bearing = theta + prior.sigma_theta * d_th
+        course = bearing + prior.sigma_c * d_c + np.pi  # closing on the bearing
+        assert np.hypot(x, y) == pytest.approx(prior.r_bar + prior.sigma_r * d_r, rel=1e-12)
+        assert wrap_angle(np.arctan2(x, y) - bearing) == pytest.approx(0.0, abs=1e-12)
+        assert np.hypot(vx, vy) == pytest.approx(prior.s_bar + prior.sigma_s * d_s, rel=1e-9)
+        assert wrap_angle(np.arctan2(vx, vy) - course) == pytest.approx(0.0, abs=1e-9)
+        assert psi == prior.sigma_psi * d_psi
+        # the claimed covariance is the undrawn prior's
+        assert np.array_equal(b.cov, init_side(theta, prior, obs, model).cov)
+
+    @given(
+        y1=st.floats(-np.pi, np.pi),
+        heading=st.floats(-np.pi, np.pi),
+        xyv=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        case=st.sampled_from([CV, CT]),
+    )
+    @example(y1=np.pi, heading=0.0, xyv=[0.0, 0.0, 0.1, 0.1], case=CV)
+    @example(y1=np.nextafter(-np.pi, 0.0), heading=np.pi / 2, xyv=[1.0, -2.0, 0.1, 0.1], case=CT)
+    @settings(max_examples=300, deadline=None)
+    def test_init_bank_on_a_reflected_pair_is_the_mirrored_bank(self, y1, heading, xyv, case):
+        # reflecting the pair and the observer across north must give the
+        # bank with its sides swapped and D applied to mean and covariance
+        model = MotionModel(kind=case, T=1.0, q1=1e-6, q2=1e-7)
+        obs = ObserverState(*xyv, heading=heading)
+        pair = BearingPair(y1=y1, y2=wrap_angle(2.0 * heading - y1), heading=heading, t=1)
+        bank = init_bank(pair, default_prior(), obs, model)
+        bank_r = init_bank(reflect_pair(pair), default_prior(), reflect_observer(obs), model)
+        assert reflects_exactly(bank, bank_r)
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan])
+    @pytest.mark.parametrize("name", ["r_bar", "sigma_psi"])
+    def test_prior_rejects_nonpositive_range_and_turn_spread(self, name, value):
+        # a negative prior range would put the side on the reciprocal ray
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(default_prior(), **{name: value})
 
 
 class TestLikelihood:
@@ -500,99 +558,24 @@ class TestSideStep:
 
 
 class TestMirrorEquivariance:
-    def test_ekf_bank_reflects_bitwise(self):
+    # (first bearing in degrees, bearing-noise seed); (60, 123) catches a
+    # closing course that is not sign-exact, such as wrap_angle(bearing + pi)
+    CASES = [(45.0, 123), (60.0, 123), (-100.0, 88), (179.0, 5)]
+
+    @pytest.mark.parametrize("bearing_deg, noise_seed", CASES)
+    def test_ekf_bank_reflects_bitwise(self, bearing_deg, noise_seed):
         # reflect everything across true north (axis = 0): the reflection's
         # arithmetic is exact sign flipping, so the swapped bank must match
-        # bit for bit
-        model = cv_model()
-        prior = default_prior()
-        rng = np.random.default_rng(123)
-
-        D = np.diag([-1.0, 1.0, -1.0, 1.0])
-
-        def refl_obs(o):
-            return ObserverState(x=-o.x, y=o.y, vx=-o.vx, vy=o.vy, heading=-o.heading)
-
-        cfg = simkit.ScenarioConfig(model_kind=CV)
-        observers = simkit.gen_observer_track(cfg)
-        target = simkit.gen_target_track(cfg)
-        rel = simkit.relative_truth(target, observers)
-
-        nu = rng.normal(size=cfg.horizon + 1) * cfg.sigma_theta_rad
-        pairs, pairs_r = [], []
-        for k in range(1, cfg.horizon + 1):
-            theta = sensing.true_bearing(rel[k])
-            h = observers[k].heading
-            y1 = wrap_angle(theta + nu[k])
-            y2 = wrap_angle(2.0 * h - y1)
-            pairs.append(BearingPair(y1=y1, y2=y2, heading=h, t=k))
-            # reflected scenario swaps the slots and negates every angle
-            pairs_r.append(BearingPair(y1=-y2, y2=-y1, heading=-h, t=k))
-
-        bank = init_bank(pairs[0], prior, observers[1], model)
-        bank_r = init_bank(pairs_r[0], prior, refl_obs(observers[1]), model)
-        for k in range(2, cfg.horizon + 1):
-            bank = step(
-                bank, pairs[k - 1], observers[k - 1], observers[k], model, EKF, cfg.sigma_theta_rad
-            )
-            bank_r = step(
-                bank_r,
-                pairs_r[k - 1],
-                refl_obs(observers[k - 1]),
-                refl_obs(observers[k]),
-                model,
-                EKF,
-                cfg.sigma_theta_rad,
-            )
-            assert bank_r.w1 == bank.w2
-            assert bank_r.w2 == bank.w1
-            assert np.array_equal(bank_r.belief1.mean, D @ bank.belief2.mean)
-            assert np.array_equal(bank_r.belief2.mean, D @ bank.belief1.mean)
-            assert np.array_equal(bank_r.fused.mean, D @ bank.fused.mean)
-            assert np.array_equal(bank_r.fused.cov, D @ bank.fused.cov @ D)
+        # bit for bit, from the first bank on
+        cfg = simkit.ScenarioConfig(model_kind=CV, initial_bearing_deg=bearing_deg)
+        for t, (bank, bank_r) in enumerate(mirrored_banks(cfg, EKF, noise_seed), start=1):
+            assert reflects_exactly(bank, bank_r), f"t={t}"
 
     @pytest.mark.parametrize("kind", ["ukf", "ckf", "ghf", "srf"])
     def test_point_filter_banks_reflect_tightly(self, kind):
         # point-set accumulation order differs between the mirrored runs, so
         # demand agreement to near machine precision rather than bitwise
-        model = cv_model()
-        prior = default_prior()
-        rng = np.random.default_rng(7)
-
-        D = np.diag([-1.0, 1.0, -1.0, 1.0])
-
-        def refl_obs(o):
-            return ObserverState(x=-o.x, y=o.y, vx=-o.vx, vy=o.vy, heading=-o.heading)
-
-        cfg = simkit.ScenarioConfig(model_kind=CV)
-        observers = simkit.gen_observer_track(cfg)
-        target = simkit.gen_target_track(cfg)
-        rel = simkit.relative_truth(target, observers)
-        nu = rng.normal(size=cfg.horizon + 1) * cfg.sigma_theta_rad
-
-        pairs, pairs_r = [], []
-        for k in range(1, cfg.horizon + 1):
-            theta = sensing.true_bearing(rel[k])
-            h = observers[k].heading
-            y1 = wrap_angle(theta + nu[k])
-            y2 = wrap_angle(2.0 * h - y1)
-            pairs.append(BearingPair(y1=y1, y2=y2, heading=h, t=k))
-            pairs_r.append(BearingPair(y1=-y2, y2=-y1, heading=-h, t=k))
-
-        bank = init_bank(pairs[0], prior, observers[1], model)
-        bank_r = init_bank(pairs_r[0], prior, refl_obs(observers[1]), model)
-        for k in range(2, cfg.horizon + 1):
-            bank = step(
-                bank, pairs[k - 1], observers[k - 1], observers[k], model, kind, cfg.sigma_theta_rad
-            )
-            bank_r = step(
-                bank_r,
-                pairs_r[k - 1],
-                refl_obs(observers[k - 1]),
-                refl_obs(observers[k]),
-                model,
-                kind,
-                cfg.sigma_theta_rad,
-            )
+        D = reflection(4)
+        for bank, bank_r in mirrored_banks(simkit.ScenarioConfig(model_kind=CV), kind, 7):
             assert bank_r.w1 == pytest.approx(bank.w2, abs=1e-12)
             assert np.allclose(bank_r.fused.mean, D @ bank.fused.mean, atol=1e-10)

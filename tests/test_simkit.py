@@ -254,6 +254,30 @@ class TestSimulateRun:
             assert e.w2 == 0.0
             assert np.array_equal(e.fused.mean, e.belief1.mean)
 
+    @pytest.mark.parametrize("case", [CV, CT])
+    def test_first_bank_starts_from_the_runs_polar_draw(self, case):
+        # each side is init_side on its own first bearing with the run's polar
+        # draw, slot 2 with the angular offsets negated; known-side mode
+        # starts its true side the same way
+        cfg = ScenarioConfig(model_kind=case)
+        args = (cfg.prior(), gen_observer_track(cfg)[1], cfg.motion_model())
+        for i in range(6):
+            ss = run_seed(cfg.seed, i)
+            init_stream = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (3,))
+            draw = np.random.default_rng(init_stream).standard_normal(5)
+            rec = simulate_run(cfg, ss)
+            known = simulate_run(cfg, ss, mode=KNOWN_SIDE)
+            p = rec.measurements[0]
+            want = {
+                1: lrtma.init_side(p.y1, *args, draw),
+                2: lrtma.init_side(p.y2, *args, draw * [1.0, -1.0, 1.0, -1.0, -1.0]),
+            }
+            first = rec.estimates[0]
+            for got, slot in ((first.belief1, 1), (first.belief2, 2),
+                              (known.estimates[0].belief1, rec.true_slot)):
+                assert got.mean.tobytes() == want[slot].mean.tobytes()
+                assert got.cov.tobytes() == want[slot].cov.tobytes()
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             simulate_run(ScenarioConfig(), 0, mode="oracle")

@@ -17,5 +17,5 @@ def test_output_digest_prints_every_part_and_a_total():
     )
     assert proc.returncode == 0, proc.stderr
     parts = dict(re.findall(r"^(\w+): ([0-9a-f]{64})$", proc.stderr, re.MULTILINE))
-    assert set(parts) == {"runs", "points", "kinematics", "filters", "files"}
+    assert set(parts) == {"runs", "points", "kinematics", "filters", "init", "files"}
     assert re.fullmatch(r"[0-9a-f]{64}", proc.stdout.strip().splitlines()[-1])

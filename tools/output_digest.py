@@ -5,7 +5,7 @@ Run it on two trees and compare the last line:
     python3 tools/output_digest.py
 
 It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
-and hashes five parts, printing each part's digest to stderr:
+and hashes six parts, printing each part's digest to stderr:
 
 * ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
   per run the side beliefs, fused estimates and log-odds of every step,
@@ -15,7 +15,8 @@ and hashes five parts, printing each part's digest to stderr:
 * ``kinematics``: ``ct_transition`` on single states and on batches,
   ``process_jacobian`` and ``observer_input`` over a fixed set of turn
   rates: signed zeros, subnormals, both sides of ``PSI_EPS`` and its
-  neighbouring floats, large and non-finite values, at three intervals.
+  neighbouring floats, a rate whose libm square is one ulp off
+  ``psi * psi``, large and non-finite values, at three intervals.
 * ``filters``: 100 random beliefs at n = 4 and n = 5 through ``update``
   for every filter kind but the SRF, ``srf_update``, ``symmetrize`` and
   ``lrtma.fuse`` (weights 0, 1, 1/2 and random), with ``cv_transition`` on
@@ -23,6 +24,10 @@ and hashes five parts, printing each part's digest to stderr:
   angles: odd multiples of pi and their neighbouring floats, signed zeros,
   1e300, +/-inf and NaN. It reaches the measurement layer directly, where
   the scenarios of ``runs`` may never go.
+* ``init``: ``lrtma.init_bank`` for CV and CT on fixed first bearings (0,
+  +/-pi/2, +/-pi and their neighbouring floats) and 40 random ones, each
+  with a random heading and observer, and on its mirrored pair (slots
+  swapped, every angle negated, the observer reflected across north).
 * ``files``: the byte-reproducible files of ``towedtma montecarlo
   --filter all --case all --mode all --runs 20`` (metric series and
   ``summary.json``) and of ``towedtma track --case cv`` / ``--case ct``,
@@ -84,9 +89,10 @@ def points_digest(h) -> None:
 
 def kinematics_digest(h) -> None:
     eps = kinematics.PSI_EPS
+    # 0.027836505711946465: libm pow(psi, 2) and psi * psi differ in the last bit
     rates = [0.0, 5e-324, 1e-300, 1e-12, np.nextafter(eps, 0.0), eps,
-             np.nextafter(eps, 1.0), 1e-6, 0.01, 0.05, 1.0, 3.0, 1e3, 1e10,
-             1e200, 1e308, np.inf, np.nan]
+             np.nextafter(eps, 1.0), 1e-6, 0.01, 0.027836505711946465, 0.05, 1.0, 3.0,
+             1e3, 1e10, 1e200, 1e308, np.inf, np.nan]
     rates = np.array(rates + [-r for r in rates])
     rng = np.random.default_rng(SEED)
     o0, o1 = (kinematics.ObserverState(*rng.normal(size=4), heading=0.0) for _ in range(2))
@@ -134,6 +140,28 @@ def filters_digest(h) -> None:
         _feed(h, sensing.wrap_angle(angles))
 
 
+def init_digest(h) -> None:
+    rng = np.random.default_rng(SEED)
+    prior = simkit.ScenarioConfig().prior()
+    edges = [0.0, np.pi / 2, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0)]
+    bearings = edges + [-y for y in edges] + list(rng.uniform(-np.pi, np.pi, size=40))
+    for case in kinematics.MODEL_KINDS:
+        model = simkit.ScenarioConfig(model_kind=case).motion_model()
+        for y1 in bearings:
+            x, y, vx, vy = rng.normal(size=4)
+            hd = rng.uniform(-np.pi, np.pi)
+            y2 = sensing.wrap_angle(2.0 * hd - y1)
+            sides = (
+                (sensing.BearingPair(y1, y2, hd, 1), kinematics.ObserverState(x, y, vx, vy, hd)),
+                (sensing.BearingPair(-y2, -y1, -hd, 1),
+                 kinematics.ObserverState(-x, y, -vx, vy, -hd)),
+            )
+            for pair, obs in sides:
+                bank = lrtma.init_bank(pair, prior, obs, model)
+                for b in (bank.belief1, bank.belief2):
+                    _feed(h, b.mean, b.cov)
+
+
 def files_digest(h) -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp)
@@ -153,7 +181,7 @@ def main() -> int:
     total = hashlib.sha256()
     for name, part in (("runs", runs_digest), ("points", points_digest),
                        ("kinematics", kinematics_digest), ("filters", filters_digest),
-                       ("files", files_digest)):
+                       ("init", init_digest), ("files", files_digest)):
         h = hashlib.sha256()
         part(h)
         print(f"{name}: {h.hexdigest()}", file=sys.stderr)
