@@ -60,7 +60,7 @@ class InitPrior:
     sigma_psi: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma_r", "sigma_theta", "sigma_s", "sigma_c", "r_bar", "sigma_psi"):
+        for name in ("sigma_r", "sigma_theta", "sigma_s", "sigma_c", "r_bar", "s_bar", "sigma_psi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

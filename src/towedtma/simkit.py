@@ -92,6 +92,7 @@ class InitPriorConfig:
         ):
             _need(getattr(self, name) > 0, "init_prior." + name, "std must be positive")
         _need(self.r_bar_km > 0, "init_prior.r_bar_km", "prior range must be positive")
+        _need(self.s_bar_kn > 0, "init_prior.s_bar_kn", "prior speed must be positive")
 
     def to_internal(self) -> InitPrior:
         return InitPrior(
@@ -354,11 +355,11 @@ def simulate_run(
 ) -> RunRecord:
     """Simulate one run: truth, mirrored bearings, and the tracker.
 
-    Both modes run one :func:`lrtma.step` loop. The "resolved" bank starts
-    at equal weights on both slots. The "known-side" bank holds the true
-    side, started identically, in both slots, settled on slot 1 (log-odds
-    +inf), and is fed the pairs with the true detection in slot 1.
-    ``measurements`` holds the resolved bank's pairs in both modes.
+    Both modes run one :func:`lrtma.step` loop on the same pairs, which
+    ``measurements`` holds. The "resolved" bank starts at equal weights on
+    both slots. The "known-side" bank holds the true side, started
+    identically, in both slots, settled on ``true_slot`` (log-odds +inf
+    for slot 1, -inf for slot 2).
     Numerical failures mark the run diverged with a failure code instead of raising.
     """
     if mode not in MODES:
@@ -381,16 +382,13 @@ def simulate_run(
     target = gen_target_track(cfg, rng_proc)
     rel_all = relative_truth(target, observers)
 
-    pairs_true_first = [
+    pairs = [
         sensing.measure(rel_all[k], observers[k].heading, sigma, rng_meas, t=k)
         for k in range(1, H + 1)
     ]
-    swap = bool(rng_misc.random() < 0.5)
-    true_slot = 2 if swap else 1
-    pairs = [
-        BearingPair(y1=p.y2, y2=p.y1, heading=p.heading, t=p.t) if swap else p
-        for p in pairs_true_first
-    ]
+    true_slot = 2 if rng_misc.random() < 0.5 else 1
+    if true_slot == 2:
+        pairs = [BearingPair(y1=p.y2, y2=p.y1, heading=p.heading, t=p.t) for p in pairs]
 
     # One polar draw per run, applied to both sides as mirror images (the
     # angular offsets flip sign on slot 2). A shared draw keeps the two
@@ -408,14 +406,14 @@ def simulate_run(
     t0 = time.perf_counter()
     try:
         if mode == RESOLVED:
-            bank, feed = FilterBankState(init(1), init(2), 0.0, pairs[0].t), pairs
+            bank = FilterBankState(init(1), init(2), 0.0, pairs[0].t)
         else:
             b = init(true_slot)
-            bank, feed = FilterBankState(b, b, math.inf, pairs[0].t), pairs_true_first
+            bank = FilterBankState(b, b, math.inf if true_slot == 1 else -math.inf, pairs[0].t)
         estimates.append(bank)
         for k in range(2, H + 1):
             bank = lrtma.step(
-                bank, feed[k - 1], observers[k - 1], observers[k], model, cfg.filter_kind, sigma
+                bank, pairs[k - 1], observers[k - 1], observers[k], model, cfg.filter_kind, sigma
             )
             estimates.append(bank)
     except (gaussfilt.FilterNumericsError, sensing.ZeroRangeError, np.linalg.LinAlgError) as exc:

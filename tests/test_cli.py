@@ -90,6 +90,8 @@ class TestParseConfig:
             ("{}", ["--seed", "-1"], "seed"),
             pytest.param('{"horizon": 1%s}' % ("0" * 400), [], "horizon", id="horizon-401-digits"),
             ('{"horizon": 10001}', [], "horizon"),
+            ('{"init_prior": {"s_bar_kn": -4.0}}', [], "init_prior.s_bar_kn"),
+            ('{"init_prior": {"s_bar_kn": 0.0}}', [], "init_prior.s_bar_kn"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, text, extra, field):

@@ -171,9 +171,12 @@ class TestInitSide:
         assert reflects_exactly(bank, bank_r)
 
     @pytest.mark.parametrize("value", [0.0, -5.0, math.nan])
-    @pytest.mark.parametrize("name", ["r_bar", "sigma_psi"])
+    @pytest.mark.parametrize("name", ["r_bar", "s_bar", "sigma_psi"])
     def test_prior_rejects_nonpositive_range_and_turn_spread(self, name, value):
-        # a negative prior range would put the side on the reciprocal ray
+        # a negative prior range would put the side on the reciprocal ray; a
+        # negative prior speed opens along the bearing instead of closing,
+        # and a zero one gives the velocity block a zero eigenvalue, since
+        # the course spread scales with it
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(default_prior(), **{name: value})
 

@@ -247,12 +247,34 @@ class TestSimulateRun:
             )
 
     def test_known_side_mode_single_filter(self):
+        # run 1 has its true detection in slot 2: the bank is settled there,
+        # and holds the one true-side filter in both slots
         cfg = ScenarioConfig(filter_kind="ckf")
-        rec = simulate_run(cfg, run_seed(cfg.seed, 2), mode=KNOWN_SIDE)
+        rec = simulate_run(cfg, run_seed(cfg.seed, 1), mode=KNOWN_SIDE)
+        assert rec.true_slot == 2
         for e in rec.estimates:
-            assert e.w1 == 1.0
-            assert e.w2 == 0.0
-            assert np.array_equal(e.fused.mean, e.belief1.mean)
+            assert lrtma.side_weights(e.log_odds)[rec.true_slot - 1] == 1.0
+            assert lrtma.side_weights(e.log_odds)[2 - rec.true_slot] == 0.0
+            assert e.belief1 is e.belief2 is e.fused
+
+    @pytest.mark.parametrize("mode", [RESOLVED, KNOWN_SIDE])
+    @pytest.mark.parametrize("kind, case", [("ekf", CV), ("srf", CT)])
+    def test_every_estimate_is_a_step_on_the_recorded_pair(self, kind, case, mode):
+        # one feed: both modes step the bank on the pairs the run records, so
+        # lrtma.step on an estimate and the next recorded pair gives the next
+        # estimate bit for bit, whichever slot holds the true detection
+        cfg = ScenarioConfig(filter_kind=kind, model_kind=case)
+        args = (cfg.motion_model(), kind, cfg.sigma_theta_rad)
+        slots = set()
+        for i in (1, 2):
+            rec = simulate_run(cfg, run_seed(cfg.seed, i), mode=mode)
+            assert rec.failure is None
+            slots.add(rec.true_slot)
+            for k in range(2, cfg.horizon + 1):
+                got = lrtma.step(rec.estimates[k - 2], rec.measurements[k - 1],
+                                 rec.observers[k - 1], rec.observers[k], *args)
+                assert _bank_bytes(got) == _bank_bytes(rec.estimates[k - 1])
+        assert slots == {1, 2}
 
     @pytest.mark.parametrize("case", [CV, CT])
     def test_first_bank_starts_from_the_runs_polar_draw(self, case):
@@ -274,7 +296,7 @@ class TestSimulateRun:
             }
             first = rec.estimates[0]
             for got, slot in ((first.belief1, 1), (first.belief2, 2),
-                              (known.estimates[0].belief1, rec.true_slot)):
+                              (known.estimates[0].fused, rec.true_slot)):
                 assert got.mean.tobytes() == want[slot].mean.tobytes()
                 assert got.cov.tobytes() == want[slot].cov.tobytes()
 
@@ -317,19 +339,17 @@ class TestMonteCarlo:
         assert got.terminal_range_error == want.terminal_range_error
         assert got.terminal_max_weight == want.terminal_max_weight
 
-    def test_worker_count_invariance(self):
+    @pytest.mark.parametrize("mode", [RESOLVED, KNOWN_SIDE])
+    def test_worker_count_invariance(self, mode):
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=12)
-        serial = run_monte_carlo(cfg, workers=1)
-        parallel = run_monte_carlo(cfg, workers=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.pos_err, b.pos_err)
-            assert a.terminal_range_error == b.terminal_range_error
-            assert a.diverged == b.diverged
+        serial = run_monte_carlo(cfg, mode=mode, workers=1)
+        parallel = run_monte_carlo(cfg, mode=mode, workers=2)
+        assert _summary_bytes(serial) == _summary_bytes(parallel)
 
     def test_runs_are_paired_across_modes(self):
-        # same master seed -> identical truth and measurement draws, so the
-        # known-side run equals the bank's true side at initialization, for
-        # either true slot
+        # same master seed -> identical truth and measurement draws, for
+        # either true slot; the first banks are compared in
+        # test_first_bank_starts_from_the_runs_polar_draw
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=1)
         slots = set()
         for i in range(6):
@@ -339,16 +359,12 @@ class TestMonteCarlo:
             assert res.measurements == kn.measurements
             assert res.true_slot == kn.true_slot
             slots.add(res.true_slot)
-            first = res.estimates[0]
-            true_belief = first.belief1 if res.true_slot == 1 else first.belief2
-            assert np.array_equal(kn.estimates[0].fused.mean, true_belief.mean)
-            assert np.array_equal(kn.estimates[0].fused.cov, true_belief.cov)
         assert slots == {1, 2}
 
     def test_known_side_run_is_a_side_step_loop(self, monkeypatch):
-        # the run is a bank settled on slot 1 (log-odds +inf) that holds the
-        # true side in both slots and is stepped by lrtma.step; run 1 has
-        # its true detection in slot 2, so the feed reorders its pairs
+        # the run is a bank settled on its true slot (log-odds +inf on slot
+        # 1, -inf on slot 2) and stepped by lrtma.step: one filter on the
+        # true bearing; run 1 has its true detection in slot 2
         real_step, stepped = lrtma.step, []
 
         def counted(bank, *args):
@@ -358,8 +374,10 @@ class TestMonteCarlo:
         monkeypatch.setattr(lrtma, "step", counted)
         for kind, case in (("ekf", CV), ("srf", CT)):
             cfg = ScenarioConfig(filter_kind=kind, model_kind=case)
+            stepped.clear()
             rec = simulate_run(cfg, run_seed(cfg.seed, 1), mode=KNOWN_SIDE)
             assert rec.failure is None
+            settled = math.inf if rec.true_slot == 1 else -math.inf
             model = cfg.motion_model()
             belief = rec.estimates[0].fused
             for k in range(2, cfg.horizon + 1):
@@ -373,10 +391,8 @@ class TestMonteCarlo:
                 assert est.t == k
                 assert np.array_equal(est.fused.mean, belief.mean)
                 assert np.array_equal(est.fused.cov, belief.cov)
-            for est in rec.estimates:
-                assert est.log_odds == math.inf
-                assert est.belief1 is est.belief2 is est.fused
-        assert stepped == [math.inf] * (2 * (cfg.horizon - 1))
+            assert [est.log_odds for est in rec.estimates] == [settled] * cfg.horizon
+            assert stepped == [settled] * (cfg.horizon - 1)
 
     def test_n_runs_validation(self):
         with pytest.raises(ConfigError, match="^n_runs: "):
@@ -449,6 +465,13 @@ class TestMonteCarlo:
                     a.diverged, a.failed, a.failure) == (
                 b.terminal_range_error, b.terminal_max_weight, b.first_decided_step,
                 b.diverged, b.failed, b.failure)
+
+
+def _bank_bytes(bank) -> tuple:
+    """The log-odds, time and every belief of a bank, exactly."""
+    beliefs = (bank.belief1, bank.belief2, bank.fused)
+    return (repr(bank.log_odds), bank.t,
+            *(a.tobytes() for b in beliefs for a in (b.mean, b.cov)))
 
 
 def _summary_bytes(sums) -> list:

@@ -9,12 +9,17 @@ The parent revision is exported with ``git archive`` into a temporary
 directory. For each seed the tool then runs ``benchmarks/run.py --trace 0``
 once on each tree, alternating which tree goes first, and writes
 ``BENCH_<label>.json`` at the repository root. The file records every
-run's last-line JSON with its seed, tree and order, the machine's core
-count (``os.cpu_count()``) and the cores this process may run on
-(``sched_getaffinity``), and for each end-to-end metric of
-``BENCHMARK.json`` both trees' medians and quartiles and the number of
-pairs the change wins (ties count for neither). Running it again with the
-same label and parent adds or replaces one workload's entry.
+run's exit code and last-line JSON with its seed, tree and order, the
+machine's core count (``os.cpu_count()``) and the cores this process may
+run on (``sched_getaffinity``). Its summary lists per tree the seeds whose
+run errored (no result), was ``correct: false`` or had ``failed > 0``, and
+for each end-to-end metric of ``BENCHMARK.json`` both trees' medians and
+quartiles and the number of pairs the change wins (ties count for
+neither), over the pairs where both runs gave a result. Running it again
+with the same label and parent adds or replaces one workload's entry.
+
+The file is written whatever the runs did; the tool then exits 1 if any
+run of this call errored or was incorrect.
 """
 
 from __future__ import annotations
@@ -44,11 +49,14 @@ def _seeds(spec: str) -> list[int]:
     return out
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, dict | None]:
+    """``run.py``'s exit code and its last-line JSON, None if it did not exit 0."""
     cmd = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        return proc.returncode, None
+    return 0, json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _spread(xs: list[float]) -> dict:
@@ -57,15 +65,31 @@ def _spread(xs: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric medians, quartiles and wins of the change over its pair."""
-    pairs: dict[int, dict[str, dict]] = {}
+    """Bad runs per tree, and per-metric medians, quartiles and wins of the
+    change over its pair.
+
+    A run whose ``result`` is None errored; a seed without a result on both
+    trees is left out of the medians and wins. Incorrect runs and runs with
+    failed operations keep their pair, and are listed by seed.
+    """
+    bad = {tree: {"errored": [], "incorrect": [], "failed": []} for tree in ("parent", "change")}
+    by_seed: dict[int, dict[str, dict]] = {}
     for r in runs:
-        pairs.setdefault(r["seed"], {})[r["tree"]] = r["result"]["metrics"]
+        res, flags = r["result"], bad[r["tree"]]
+        if res is None:
+            flags["errored"].append(r["seed"])
+            continue
+        if not res["correct"]:
+            flags["incorrect"].append(r["seed"])
+        if res["failed"]:
+            flags["failed"].append(r["seed"])
+        by_seed.setdefault(r["seed"], {})[r["tree"]] = res["metrics"]
+    pairs = [p for p in by_seed.values() if len(p) == 2]
     out = {}
-    for name, direction in better.items():
+    for name, direction in better.items() if pairs else ():
         sign = 1.0 if direction == "higher" else -1.0
-        parent = [p["parent"][name]["value"] for p in pairs.values()]
-        change = [p["change"][name]["value"] for p in pairs.values()]
+        parent = [p["parent"][name]["value"] for p in pairs]
+        change = [p["change"][name]["value"] for p in pairs]
         p, c = _spread(parent), _spread(change)
         out[name] = {
             "parent": p,
@@ -75,7 +99,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "median_change_pct": 100.0 * (c["median"] / p["median"] - 1.0) if p["median"] else None,
             "beyond_parent_iqr": sign * (c["median"] - p["median"]) > p["q3"] - p["q1"],
         }
-    return out
+    return {"bad_runs": bad, "metrics": out}
 
 
 def main(argv=None) -> int:
@@ -104,8 +128,12 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for pos, tree in enumerate(order):
-                res = _run(trees[tree], args.workload, seed, args.seconds)
-                runs.append({"seed": seed, "tree": tree, "order": pos, "result": res})
+                code, res = _run(trees[tree], args.workload, seed, args.seconds)
+                runs.append({"seed": seed, "tree": tree, "order": pos, "exit_code": code,
+                             "result": res})
+                if res is None:
+                    print(f"seed {seed} {tree:6s} exited with code {code}", file=sys.stderr)
+                    continue
                 rps = res["metrics"]["runs_per_s"]["value"]
                 print(f"seed {seed} {tree:6s} runs/s {rps:8.2f} correct {res['correct']} "
                       f"failed {res['failed']}", file=sys.stderr)
@@ -120,17 +148,22 @@ def main(argv=None) -> int:
         "usable_cpus": len(os.sched_getaffinity(0)),
         "command": "benchmarks/run.py --trace 0",
     })
+    summary = summarize(runs, better)
     doc.setdefault("workloads", {})[args.workload] = {
         "seconds": args.seconds,
         "seeds": args.seeds,
         "runs": runs,
-        "summary": summarize(runs, better),
+        "summary": summary,
     }
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, s in doc["workloads"][args.workload]["summary"].items():
+    for name, s in summary["metrics"].items():
         print(f"{name:12s} parent {s['parent']['median']:10.3f}  change "
               f"{s['change']['median']:10.3f}  wins {s['wins']}/{s['pairs']}")
-    return 0
+    for tree, flags in summary["bad_runs"].items():
+        for what, seeds in flags.items():
+            if seeds:
+                print(f"{tree} runs {what}: seeds {seeds}", file=sys.stderr)
+    return 1 if any(f["errored"] or f["incorrect"] for f in summary["bad_runs"].values()) else 0
 
 
 if __name__ == "__main__":
