@@ -37,10 +37,6 @@ from .simkit import MODES, RESOLVED, ConfigError, InitPriorConfig, ScenarioConfi
 BASELINE_CELL = ("ekf", "cv", "known-side")
 # track CSV names of the state components, cut to the model's dim
 _STATE_COLUMNS = ("x_km", "y_km", "vx_kmmin", "vy_kmmin", "psi_radmin")
-# BenchmarkRow fields that go to timings.json (with the cell) and not to
-# the byte-reproducible summary.json
-_CELL_FIELDS = ("filter", "case", "mode")
-_WALL_FIELDS = ("mean_wall_s", "rel_exec_time")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +185,7 @@ def cmd_montecarlo(
     key = config_key(cfg)
     outputs: list[str] = []
     rows: list[evalkit.BenchmarkRow] = []
+    walls: dict[tuple[str, str, str], float] = {}  # wall-clock: timings.json only
 
     for case in cases:
         for kind in filters:
@@ -198,26 +195,19 @@ def cmd_montecarlo(
                 rows.append(
                     evalkit.benchmark_row(sums, kind, case, mode, cell_cfg.track_bound_km)
                 )
+                walls[kind, case, mode] = evalkit.mean_wall_time(sums)
                 name = f"metrics_{kind}_{case}_{mode}.csv"
                 _write_series_csv(out_dir / name, cell_cfg, sums, key)
                 outputs.append(name)
 
-    walls = {r.cell: r.mean_wall_s for r in rows}
-    if BASELINE_CELL in walls:
-        rel = evalkit.relative_execution_time(walls, BASELINE_CELL)
-        for r in rows:
-            r.rel_exec_time = rel[r.cell]
-    dicts = [dataclasses.asdict(r) for r in rows]
-
-    summary = {
-        "manifest_key": key,
-        "rows": [{k: v for k, v in d.items() if k not in _WALL_FIELDS} for d in dicts],
-    }
+    rel = evalkit.relative_execution_time(walls, BASELINE_CELL) if BASELINE_CELL in walls else {}
+    summary = {"manifest_key": key, "rows": [dataclasses.asdict(r) for r in rows]}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     timings = {
         "manifest_key": key,
         "note": "wall-clock values; not byte-reproducible",
-        "rows": [{k: d[k] for k in _CELL_FIELDS + _WALL_FIELDS} for d in dicts],
+        "rows": [{"filter": f, "case": c, "mode": m, "mean_wall_s": wall,
+                  "rel_exec_time": rel.get((f, c, m))} for (f, c, m), wall in walls.items()],
     }
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     outputs += ["summary.json", "timings.json"]
@@ -295,8 +285,9 @@ def cmd_report(metrics_dir: Path, out_path: Optional[Path] = None) -> int:
     """Merge one metrics directory into a consolidated, validated report.
 
     A directory whose files lack their manifest key, disagree with
-    manifest.json or hold a part of the wrong shape for the report schema
-    is refused: exit 2 with one stderr line naming the file.
+    manifest.json, or hold a part of the wrong shape for the report schema
+    or a metrics table of the wrong shape (a column named twice, a row of
+    the wrong length) is refused: exit 2 with one stderr line naming the file.
     """
     try:
         report = _merge_report(metrics_dir)
@@ -376,16 +367,17 @@ def _read_series_csv(path: Path, expect_key: str) -> dict:
     if not lines or not lines[0].startswith("# manifest: "):
         raise ReportError(f"{path}: missing '# manifest:' line")
     _check_key(path, lines[0].split(": ", 1)[1], expect_key)
-    reader = csv.reader(lines[1:])
+    table = list(csv.reader(lines[1:]))
+    header = table[0] if table else []
+    if not header or len(set(header)) < len(header):
+        raise ReportError(f"{path}: needs a header naming each column once, got {header}")
+    wrong_length = [i + 2 for i, row in enumerate(table) if len(row) != len(header)]
+    if wrong_length:
+        raise ReportError(f"{path}: lines {wrong_length} do not hold {len(header)} values")
     try:
-        header = next(reader)
-        columns: dict[str, list] = {name: [] for name in header}
-        for row in reader:
-            for name, val in zip(header, row):
-                columns[name].append(float(val))
-    except (StopIteration, ValueError) as exc:
+        return {name: [float(row[j]) for row in table[1:]] for j, name in enumerate(header)}
+    except ValueError as exc:
         raise ReportError(f"{path}: not a series table ({exc!r})") from exc
-    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,10 @@ def mean_wall_time(summaries: Sequence) -> float:
 
 @dataclass
 class BenchmarkRow:
-    """One (filter, case, mode) cell of the benchmark table.
+    """The ``summary.json`` row of one (filter, case, mode) cell.
 
-    Its ``dataclasses.asdict`` is the row of ``summary.json`` and
-    ``timings.json``, so field order is key order.
+    Seeded values only; wall-clock values go to ``timings.json``. Its
+    ``dataclasses.asdict`` is the row, so field order is key order.
     """
 
     filter: str
@@ -102,13 +102,7 @@ class BenchmarkRow:
     mode: str
     n_runs: int
     track_loss_pct: float
-    mean_wall_s: float
     terminal_rmse_pos_km: float
-    rel_exec_time: float | None = None
-
-    @property
-    def cell(self) -> tuple[str, str, str]:
-        return self.filter, self.case, self.mode
 
 
 def benchmark_row(
@@ -129,6 +123,5 @@ def benchmark_row(
         mode=mode,
         n_runs=len(summaries),
         track_loss_pct=track_loss_pct(summaries, bound),
-        mean_wall_s=mean_wall_time(summaries),
         terminal_rmse_pos_km=terminal,
     )

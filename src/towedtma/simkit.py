@@ -360,11 +360,12 @@ def simulate_run(
     both slots. The "known-side" bank holds the true side, started
     identically, in both slots, settled on ``true_slot`` (log-odds +inf
     for slot 1, -inf for slot 2).
+    An int ``seed`` means ``run_seed(seed, 0)``: run 0 of that master seed.
     Numerical failures mark the run diverged with a failure code instead of raising.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else run_seed(seed, 0)
     # derive the child streams statelessly: SeedSequence.spawn would mutate
     # the caller's object and break same-seed reproducibility
     children = [

@@ -6,6 +6,10 @@ their elementwise work off numpy's per-call path and kept every dot and
 matrix product as the same numpy call in the same association order. Each
 ``old_*`` function below is the earlier expression, verbatim; the tests
 require the same bits from both, signs of zeros and NaN payloads included.
+One exception: where two NaNs meet in one operation of ``cv_transition``,
+IEEE 754 leaves the result's payload to the implementation, and Python's
+float ops and numpy's loops pick differently, so there the result need
+only be a NaN.
 """
 
 import math
@@ -256,9 +260,34 @@ class TestFuse:
         assert_same_bits(got.cov, want.cov)
 
 
+def from_bits(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+def nans_meet(s, T):
+    """Per output element of ``cv_transition``: whether two NaNs meet in it.
+
+    Position k is ``p + T * v``: T and v meet in the product, p and the
+    product in the sum. A product NaN made from inf * 0 counts as well.
+    """
+    x, y, vx, vy = s.tolist()
+    meet = [(math.isnan(T) and math.isnan(v)) or (math.isnan(p) and math.isnan(T * v))
+            for p, v in ((x, vx), (y, vy))]
+    return np.array(meet + [False, False])
+
+
+def assert_same_bits_unless_nans_meet(got, want, meet):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert_same_bits(got[~meet], want[~meet])
+    assert np.isnan(got[meet]).all() and np.isnan(want[meet]).all(), (got, want)
+
+
 class TestCvTransition:
     @given(x=st.lists(all_floats, min_size=4, max_size=4),
            T=st.sampled_from([0.5, 1.0, 2.0]) | all_floats)
+    # drawn when every payload was compared: y's NaN meets T's in y + T * vy
+    @example(x=[6.97e16, from_bits(0x7FF8000000000001), 2.40e67, -1.46e-52], T=-math.nan)
+    @example(x=[-0.0, 0.0, -0.0, 0.0], T=1.0)
     @settings(max_examples=300, deadline=None)
     def test_single_state_matches_one_row_batch(self, x, T):
         s = np.array(x)
@@ -266,8 +295,9 @@ class TestCvTransition:
             single = kinematics.cv_transition(s, T)
             batch = kinematics.cv_transition(s[None], T)[0]
             old = old_cv_transition(s, T)
-        assert_same_bits(single, batch)
-        assert_same_bits(single, old)
+        meet = nans_meet(s, T)
+        assert_same_bits_unless_nans_meet(single, batch, meet)
+        assert_same_bits_unless_nans_meet(single, old, meet)
 
 
 # random angles, +/-pi, odd multiples of pi and their neighbouring floats,

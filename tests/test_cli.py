@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from towedtma import cli
+from towedtma import cli, evalkit
 from towedtma.cli import (
     ConfigError,
     config_from_dict,
@@ -259,8 +260,12 @@ class TestMonteCarloCommand:
             cfg, tmp_path, filters=["ekf", "ukf"], cases=["cv"], modes=["resolved"]
         )
         summary = json.loads((tmp_path / "summary.json").read_text())
-        cells = {(r["filter"], r["case"], r["mode"]) for r in summary["rows"]}
-        assert cells == {("ekf", "cv", "resolved"), ("ukf", "cv", "resolved")}
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        cells = [(r["filter"], r["case"], r["mode"]) for r in summary["rows"]]
+        assert cells == [("ekf", "cv", "resolved"), ("ukf", "cv", "resolved")]
+        assert [(r["filter"], r["case"], r["mode"]) for r in timings["rows"]] == cells
+        # no ekf/cv/known-side cell, so no baseline
+        assert [r["rel_exec_time"] for r in timings["rows"]] == [None, None]
 
     def test_row_keys_and_order(self, tmp_path):
         cli.cmd_montecarlo(
@@ -271,7 +276,7 @@ class TestMonteCarloCommand:
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert list(summary["rows"][0]) == [
             "filter", "case", "mode", "n_runs", "track_loss_pct", "terminal_rmse_pos_km"
-        ]
+        ] == [f.name for f in dataclasses.fields(evalkit.BenchmarkRow)]
         assert list(timings["rows"][0]) == [
             "filter", "case", "mode", "mean_wall_s", "rel_exec_time"
         ]
@@ -387,6 +392,30 @@ class TestReportCommand:
         )
         csv_path = tmp_path / name
         csv_path.write_text("".join(csv_path.read_text().splitlines(True)[1:]))
+        capsys.readouterr()
+        self._refused(tmp_path, capsys, name)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {2: lambda r: r.rsplit(",", 1)[0]},
+            {3: lambda r: r + ",1.0"},
+            # one value moved from a row to the next: the column lengths differ
+            {2: lambda r: r.rsplit(",", 1)[0], 3: lambda r: r + ",3"},
+            {1: lambda r: r.replace("rmse_vel_kmmin", "rmse_pos_km")},
+        ],
+        ids=["short-row", "long-row", "value-moved-to-next-row", "repeated-column"],
+    )
+    def test_main_refuses_wrong_shaped_series(self, tmp_path, capsys, edits):
+        name = "metrics_ekf_cv_resolved.csv"
+        cli.cmd_montecarlo(
+            small_cfg(n_runs=3), tmp_path, filters=["ekf"], cases=["cv"], modes=["resolved"]
+        )
+        csv_path = tmp_path / name
+        lines = csv_path.read_text().splitlines()
+        for i, edit in edits.items():
+            lines[i] = edit(lines[i])
+        csv_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         self._refused(tmp_path, capsys, name)
 

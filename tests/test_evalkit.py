@@ -133,9 +133,7 @@ class TestBenchmarkRow:
         row = benchmark_row(sums, "ekf", "cv", "resolved", bound=1.0)
         assert row.track_loss_pct == 0.0
         assert row.terminal_rmse_pos_km == pytest.approx(0.5)
-        assert row.mean_wall_s == pytest.approx(2.0)
         assert row.n_runs == 4
-        assert row.cell == ("ekf", "cv", "resolved")
 
     def test_all_lost_has_nan_rmse(self):
         sums = [summary([[9.0, 9.0]], term_err=9.0, diverged=True) for _ in range(3)]

@@ -230,6 +230,16 @@ class TestSimulateRun:
             [p.y1 for p in a.measurements], [p.y1 for p in b.measurements]
         )
 
+    def test_int_seed_is_run_0_of_that_master_seed(self):
+        # as `towedtma track --seed 7` and run 0 of a seed-7 Monte Carlo
+        cfg = ScenarioConfig(filter_kind="ekf")
+        a = simulate_run(cfg, 7)
+        b = simulate_run(cfg, run_seed(7, 0))
+        assert (a.true_slot, a.failure) == (b.true_slot, b.failure)
+        assert a.truth_rel.tobytes() == b.truth_rel.tobytes()
+        assert a.measurements == b.measurements
+        assert [_bank_bytes(e) for e in a.estimates] == [_bank_bytes(e) for e in b.estimates]
+
     def test_sequence_lengths(self):
         cfg = ScenarioConfig(filter_kind="ukf")
         rec = simulate_run(cfg, run_seed(cfg.seed, 3))

@@ -31,7 +31,10 @@ and hashes six parts, printing each part's digest to stderr:
 * ``files``: the byte-reproducible files of ``towedtma montecarlo
   --filter all --case all --mode all --runs 20`` (metric series and
   ``summary.json``) and of ``towedtma track --case cv`` / ``--case ct``,
-  written to a temporary directory. Each carries its manifest key.
+  written to a temporary directory. Each carries its manifest key. Of the
+  montecarlo run's ``timings.json`` it hashes the layout but not the
+  wall-clock values: the top-level keys, ``manifest_key`` and ``note``,
+  and per row its keys, its cell and whether ``rel_exec_time`` is null.
 
 Digests depend on the platform's floating-point libraries, so compare two
 trees on one machine; no test stores a digest.
@@ -42,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -175,6 +179,12 @@ def files_digest(h) -> None:
         for path in files:
             h.update(path.name.encode())
             h.update(path.read_bytes())
+        timings = json.loads((out / "mc" / "timings.json").read_text())
+        layout = [list(timings), timings["manifest_key"], timings["note"]] + [
+            [list(row), row["filter"], row["case"], row["mode"], row["rel_exec_time"] is None]
+            for row in timings["rows"]
+        ]
+        h.update(json.dumps(layout).encode())
 
 
 def main() -> int:
