@@ -259,12 +259,11 @@ def validate_schema(obj, schema, where="report") -> None:
         "null": type(None),
     }
     if t is not None:
-        allowed = types[t] if not isinstance(t, list) else tuple(
-            types[x] for x in t
-        )
-        if t == "number" and isinstance(obj, bool):
-            raise ValueError(f"{where}: expected number, got bool")
-        if not isinstance(obj, allowed):
+        names = t if isinstance(t, list) else [t]
+        # a bool is an int to isinstance; it matches only "boolean"
+        if not isinstance(obj, tuple(types[x] for x in names)) or (
+            isinstance(obj, bool) and "boolean" not in names
+        ):
             raise ValueError(f"{where}: expected {t}, got {type(obj).__name__}")
     for req in schema.get("required", []):
         if req not in obj:
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="scenario config JSON")
     common.add_argument("--seed", type=int, help="master seed override")
-    common.add_argument("--runs", type=int, help="number of Monte Carlo runs")
     common.add_argument(
         "--filter", default=None, help="filter kind(s): ekf|ukf|ckf|ghf|srf, "
         "comma-separated or 'all'"
@@ -427,10 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
         "comma-separated or 'all'"
     )
     common.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers")
 
     sub.add_parser("track", parents=[common], help="simulate and dump one run")
-    sub.add_parser("montecarlo", parents=[common], help="run the benchmark")
+    mc = sub.add_parser("montecarlo", parents=[common], help="run the benchmark")
+    mc.add_argument("--runs", type=int, help="number of Monte Carlo runs")
+    mc.add_argument("--workers", type=int, default=1, help="parallel workers")
     rep = sub.add_parser("report", help="consolidate metrics")
     rep.add_argument("metrics_dir", type=Path, help="directory written by montecarlo")
     rep.add_argument(
@@ -443,12 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ScenarioConfig:
     cfg = parse_config(args.config) if args.config else ScenarioConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.runs is not None:
-        updates["n_runs"] = args.runs
-    return dataclasses.replace(cfg, **updates)
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -457,8 +451,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "report":
             return cmd_report(args.metrics_dir, args.out)
 
-        if args.workers < 1:
-            raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
         cfg = _load_config(args)
         if args.command == "track":
             cfg = dataclasses.replace(
@@ -470,6 +462,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_track(cfg, args.out, mode=mode)
 
         # montecarlo
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
+        if args.runs is not None:
+            cfg = dataclasses.replace(cfg, n_runs=args.runs)
         filters = _split_choice(args.filter or cfg.filter_kind, FILTER_KINDS, "--filter")
         cases = _split_choice(args.case or cfg.model_kind, MODEL_KINDS, "--case")
         modes = _split_choice(args.mode or RESOLVED, MODES, "--mode")

@@ -90,7 +90,9 @@ class InitPriorConfig:
         for name in (
             "sigma_r_km", "sigma_s_kn", "sigma_theta_deg", "sigma_c_deg", "sigma_psi_deg_min"
         ):
-            _need(getattr(self, name) > 0, "init_prior." + name, "std must be positive")
+            std = float(getattr(self, name))  # checked as in ScenarioConfig
+            _need(std > 0 and std * std < math.inf, "init_prior." + name,
+                  "std must be positive with a finite square, got {}", std)
         _need(self.r_bar_km > 0, "init_prior.r_bar_km", "prior range must be positive")
         _need(self.s_bar_kn > 0, "init_prior.s_bar_kn", "prior speed must be positive")
 
@@ -146,7 +148,11 @@ class ScenarioConfig:
         _check_types(self, "")
         _need(isinstance(self.init_prior, InitPriorConfig), "init_prior",
               "must be an InitPriorConfig, got {!r}", self.init_prior)
-        _need(self.T > 0, "T", "sampling time must be positive, got {}", self.T)
+        # the filters take powers of T and of the stds with ``**``, which
+        # raises OverflowError mid-run; these products give inf instead
+        T, sigma = float(self.T), float(self.sigma_theta_meas_deg)
+        _need(T > 0 and T * T * T < math.inf, "T",
+              "sampling time must be positive with a finite cube, got {}", self.T)
         _need(self.horizon >= 2, "horizon", "must be at least 2 steps, got {}", self.horizon)
         # every per-run array is sized by the horizon
         _need(self.horizon <= MAX_HORIZON, "horizon",
@@ -160,10 +166,13 @@ class ScenarioConfig:
               self.maneuver_start_min, self.maneuver_end_min)
         _need(self.maneuver_end_min <= self.horizon * self.T, "maneuver_end_min",
               "must not exceed horizon*T={}", self.horizon * self.T)
-        _need(self.q1 >= 0, "q1", "noise intensity must be nonnegative, got {}", self.q1)
-        _need(self.q2 >= 0, "q2", "noise intensity must be nonnegative, got {}", self.q2)
-        _need(self.sigma_theta_meas_deg >= 0, "sigma_theta_meas_deg",
-              "noise std must be nonnegative")
+        _need(self.q1 >= 0 and self.q1 * (T * T * T) / 3.0 < math.inf and self.q1 * T < math.inf,
+              "q1", "noise intensity must be nonnegative with finite q1*T**3/3 and q1*T, got {}",
+              self.q1)
+        _need(self.q2 >= 0 and self.q2 * T < math.inf, "q2",
+              "noise intensity must be nonnegative with a finite q2*T, got {}", self.q2)
+        _need(sigma >= 0 and sigma * sigma < math.inf, "sigma_theta_meas_deg",
+              "std must be nonnegative with a finite square, got {}", self.sigma_theta_meas_deg)
         _need(self.initial_range_km > 0, "initial_range_km", "range must be positive")
         # SeedSequence takes nonnegative entropy only
         _need(self.seed >= 0, "seed", "must be nonnegative, got {}", self.seed)
@@ -468,11 +477,8 @@ def summarize_run(rec: RunRecord) -> RunSummary:
     )
 
 
-def _mc_chunk(cfg: ScenarioConfig, mode: str, start: int, stop: int) -> list[RunSummary]:
-    return [
-        summarize_run(simulate_run(cfg, run_seed(cfg.seed, i), mode=mode))
-        for i in range(start, stop)
-    ]
+def _run_summary(cfg: ScenarioConfig, mode: str, index: int) -> RunSummary:
+    return summarize_run(simulate_run(cfg, run_seed(cfg.seed, index), mode=mode))
 
 
 # The process's Monte Carlo worker pool and its size. The first pooled
@@ -515,27 +521,22 @@ def run_monte_carlo(
     from several threads run one at a time.
     """
     workers = min(workers, os.cpu_count() or 1)
+    run = functools.partial(_run_summary, cfg, mode)
     if workers <= 1 or cfg.n_runs < 4:
-        return _mc_chunk(cfg, mode, 0, cfg.n_runs)
-    n_chunks = min(workers * 4, cfg.n_runs)
-    bounds = np.linspace(0, cfg.n_runs, n_chunks + 1).astype(int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-    def submit() -> list:
-        pool = _pool(workers)
-        return [pool.submit(_mc_chunk, cfg, mode, a, b) for a, b in chunks]
-
+        return list(map(run, range(cfg.n_runs)))
+    # about four chunks per worker
+    chunksize = math.ceil(cfg.n_runs / (4 * workers))
     with _POOL_LOCK:
         try:
-            futures = submit()
+            results = _pool(workers).map(run, range(cfg.n_runs), chunksize=chunksize)
         except BrokenProcessPool:
             # a worker died since the last call and the pool refuses work;
             # the runs depend on their seeds alone, so a fresh pool gives
             # the same summaries
             _close_pool()
-            futures = submit()
+            results = _pool(workers).map(run, range(cfg.n_runs), chunksize=chunksize)
         try:
-            return [s for fut in futures for s in fut.result()]
+            return list(results)
         except BrokenProcessPool:
             # a worker died during this call: it fails, the next starts afresh
             _close_pool()

@@ -93,6 +93,12 @@ class TestParseConfig:
             ('{"horizon": 10001}', [], "horizon"),
             ('{"init_prior": {"s_bar_kn": -4.0}}', [], "init_prior.s_bar_kn"),
             ('{"init_prior": {"s_bar_kn": 0.0}}', [], "init_prior.s_bar_kn"),
+            # finite values whose variance overflows
+            ('{"T": 1e300}', [], "T"),
+            ('{"sigma_theta_meas_deg": 1e300}', [], "sigma_theta_meas_deg"),
+            ('{"init_prior": {"sigma_r_km": 1e300}}', [], "init_prior.sigma_r_km"),
+            ('{"init_prior": {"sigma_s_kn": 1e300}}', [], "init_prior.sigma_s_kn"),
+            ('{"q1": 1e308, "T": 10.0}', [], "q1"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, text, extra, field):
@@ -190,10 +196,7 @@ class TestTrackCommand:
         assert cli.main(["track", "--config", str(bad), "--out", str(tmp_path)]) == 2
         ok = tmp_path / "ok.json"
         ok.write_text("{}")
-        rc = cli.main(
-            ["track", "--config", str(ok), "--runs", "1", "--out", str(tmp_path / "o")]
-        )
-        assert rc == 0
+        assert cli.main(["track", "--config", str(ok), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestCellFlags:
@@ -225,13 +228,20 @@ class TestCellFlags:
         assert cli.main(argv) == 0
         assert (tmp_path / "track_srf_ct_known-side.csv").exists()
 
-    @pytest.mark.parametrize("command", ["track", "montecarlo"])
     @pytest.mark.parametrize("workers", ["0", "-5"])
-    def test_workers_below_one_exit_2(self, tmp_path, capsys, command, workers):
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
         out = tmp_path / "o"
-        argv = [command, "--workers", workers, "--runs", "1", "--out", str(out)]
+        argv = ["montecarlo", "--workers", workers, "--runs", "1", "--out", str(out)]
         assert cli.main(argv) == 2
         assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "1"), ("--workers", "2")])
+    def test_track_takes_no_monte_carlo_options(self, tmp_path, flag, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["track", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
 
 
@@ -428,6 +438,11 @@ class TestReportCommand:
             ("timings.json", "rows", ["ekf"]),
             ("manifest.json", "config", 5),
             ("manifest.json", "version", None),
+            # a bool is refused where the schema asks for an integer or a number
+            ("summary.json", "rows", [{"filter": "ekf", "case": "cv", "mode": "resolved",
+                                       "n_runs": True, "track_loss_pct": 0.0}]),
+            ("timings.json", "rows", [{"filter": "ekf", "case": "cv", "mode": "resolved",
+                                       "mean_wall_s": 0.1, "rel_exec_time": True}]),
         ],
     )
     def test_main_refuses_part_of_wrong_shape(self, tmp_path, capsys, culprit, key, value):

@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -349,9 +349,10 @@ class TestMonteCarlo:
         assert got.terminal_range_error == want.terminal_range_error
         assert got.terminal_max_weight == want.terminal_max_weight
 
+    @pytest.mark.parametrize("n_runs", [5, 12, 13])
     @pytest.mark.parametrize("mode", [RESOLVED, KNOWN_SIDE])
-    def test_worker_count_invariance(self, mode):
-        cfg = ScenarioConfig(filter_kind="ekf", n_runs=12)
+    def test_worker_count_invariance(self, mode, n_runs):
+        cfg = ScenarioConfig(filter_kind="ekf", n_runs=n_runs)
         serial = run_monte_carlo(cfg, mode=mode, workers=1)
         parallel = run_monte_carlo(cfg, mode=mode, workers=2)
         assert _summary_bytes(serial) == _summary_bytes(parallel)
@@ -426,6 +427,19 @@ class TestMonteCarlo:
         run_monte_carlo(cfg, workers=64)
         assert log == [("start", 3), ("shutdown", True), ("start", 2)]
 
+    @pytest.mark.parametrize(
+        "n_runs, sizes",
+        [(8, [1] * 8), (13, [2] * 6 + [1]), (500, [63] * 7 + [59]), (5000, [625] * 8)],
+    )
+    def test_pool_gets_about_four_chunks_per_worker(self, monkeypatch, n_runs, sizes):
+        pool = _inline_pool([])
+        monkeypatch.setattr(simkit, "_POOL", None)
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simkit, "_run_summary", lambda cfg, mode, index: index)
+        assert run_monte_carlo(ScenarioConfig(n_runs=n_runs), workers=2) == list(range(n_runs))
+        assert pool.sizes == sizes
+
     def test_broken_pool_fails_the_call_and_is_dropped(self, monkeypatch):
         log = []
         monkeypatch.setattr(simkit, "_POOL", None)
@@ -495,21 +509,27 @@ def _summary_bytes(sums) -> list:
 
 def _inline_pool(log: list, broken_chunk: int = -1):
     """Stand-in executor that runs each chunk in-process and logs its life;
-    the future of chunk ``broken_chunk`` fails as if its worker died."""
+    reading chunk ``broken_chunk`` of a ``map`` fails as if its worker died.
+    ``sizes`` holds the run count of every chunk it was handed."""
 
     class InlinePool:
+        sizes: list[int] = []
+
         def __init__(self, max_workers):
             log.append(("start", max_workers))
-            self.chunks = 0
 
-        def submit(self, fn, *args):
-            fut = Future()
-            if self.chunks == broken_chunk:
-                fut.set_exception(BrokenProcessPool("worker died"))
-            else:
-                fut.set_result(fn(*args))
-            self.chunks += 1
-            return fut
+        def map(self, fn, iterable, chunksize=1):
+            items = list(iterable)
+            chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
+            self.sizes.extend(len(chunk) for chunk in chunks)
+
+            def results():
+                for i, chunk in enumerate(chunks):
+                    if i == broken_chunk:
+                        raise BrokenProcessPool("worker died")
+                    yield from map(fn, chunk)
+
+            return results()
 
         def shutdown(self, wait=True):
             log.append(("shutdown", wait))

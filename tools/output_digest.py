@@ -31,10 +31,13 @@ and hashes six parts, printing each part's digest to stderr:
 * ``files``: the byte-reproducible files of ``towedtma montecarlo
   --filter all --case all --mode all --runs 20`` (metric series and
   ``summary.json``) and of ``towedtma track --case cv`` / ``--case ct``,
-  written to a temporary directory. Each carries its manifest key. Of the
-  montecarlo run's ``timings.json`` it hashes the layout but not the
-  wall-clock values: the top-level keys, ``manifest_key`` and ``note``,
-  and per row its keys, its cell and whether ``rel_exec_time`` is null.
+  written to a temporary directory. Each carries its manifest key. The
+  montecarlo command runs twice, serially and with ``--workers 2``; the
+  tool exits non-zero unless both write the same bytes, which it then
+  hashes once. Of the serial run's ``timings.json`` it hashes the layout
+  but not the wall-clock values: the top-level keys, ``manifest_key`` and
+  ``note``, and per row its keys, its cell and whether ``rel_exec_time``
+  is null.
 
 Digests depend on the platform's floating-point libraries, so compare two
 trees on one machine; no test stores a digest.
@@ -169,12 +172,15 @@ def init_digest(h) -> None:
 def files_digest(h) -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp)
-        argv = ["montecarlo", "--filter", "all", "--case", "all", "--mode", "all",
-                "--runs", "20", "--out", str(out / "mc")]
-        assert cli.main(argv) == 0
+        argv = ["montecarlo", "--filter", "all", "--case", "all", "--mode", "all", "--runs", "20"]
+        assert cli.main(argv + ["--out", str(out / "mc")]) == 0
+        assert cli.main(argv + ["--workers", "2", "--out", str(out / "pooled")]) == 0
+        files = sorted(out.glob("mc/metrics_*.csv")) + [out / "mc" / "summary.json"]
+        for path in files:
+            if path.read_bytes() != (out / "pooled" / path.name).read_bytes():
+                sys.exit(f"files: {path.name} differs between serial and --workers 2")
         for case in kinematics.MODEL_KINDS:
             assert cli.main(["track", "--case", case, "--out", str(out / "track")]) == 0
-        files = sorted(out.glob("mc/metrics_*.csv")) + [out / "mc" / "summary.json"]
         files += sorted(out.glob("track/track_*.csv"))
         for path in files:
             h.update(path.name.encode())
