@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -81,7 +82,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def write_json(path: Path, obj) -> None:
+    """Indented JSON; a non-finite number raises, since JSON has none."""
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def config_key(cfg: ScenarioConfig) -> str:
@@ -159,7 +165,7 @@ def cmd_track(cfg: ScenarioConfig, out_dir: Path, mode: str = RESOLVED) -> int:
     track_name = f"track_{cfg.filter_kind}_{cfg.model_kind}_{mode}.csv"
     write_csv(out_dir / track_name, header, rows, key)
     manifest = build_manifest(cfg, [track_name])
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
 
     if rec.failure is not None:
         print(f"run failed: {rec.failure}", file=sys.stderr)
@@ -202,17 +208,17 @@ def cmd_montecarlo(
 
     rel = evalkit.relative_execution_time(walls, BASELINE_CELL) if BASELINE_CELL in walls else {}
     summary = {"manifest_key": key, "rows": [dataclasses.asdict(r) for r in rows]}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_json(out_dir / "summary.json", summary)
     timings = {
         "manifest_key": key,
         "note": "wall-clock values; not byte-reproducible",
         "rows": [{"filter": f, "case": c, "mode": m, "mean_wall_s": wall,
                   "rel_exec_time": rel.get((f, c, m))} for (f, c, m), wall in walls.items()],
     }
-    (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
+    write_json(out_dir / "timings.json", timings)
     outputs += ["summary.json", "timings.json"]
     manifest = build_manifest(cfg, outputs)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {len(outputs)} files to {out_dir}")
     return 0
 
@@ -286,7 +292,8 @@ def cmd_report(metrics_dir: Path, out_path: Optional[Path] = None) -> int:
     A directory whose files lack their manifest key, disagree with
     manifest.json, or hold a part of the wrong shape for the report schema
     or a metrics table of the wrong shape (a column named twice, a row of
-    the wrong length) is refused: exit 2 with one stderr line naming the file.
+    the wrong length), or a non-finite number anywhere, is refused: exit 2
+    with one stderr line naming the file.
     """
     try:
         report = _merge_report(metrics_dir)
@@ -295,7 +302,7 @@ def cmd_report(metrics_dir: Path, out_path: Optional[Path] = None) -> int:
         return 2
 
     out_path = out_path or metrics_dir / "report.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    write_json(out_path, report)
     print(f"wrote {out_path}")
     return 0
 
@@ -346,10 +353,18 @@ def _check_key(path: Path, key, expect_key: str) -> None:
         )
 
 
+def _finite(text: str) -> float:
+    # also the parse_constant of NaN, Infinity and -Infinity
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text!r}")
+    return x
+
+
 def _read_json(path: Path, required: Sequence[str]) -> dict:
-    """A JSON object that holds every ``required`` key."""
+    """A JSON object that holds every ``required`` key and no non-finite number."""
     try:
-        blob = json.loads(path.read_text())
+        blob = json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)
     except (ValueError, RecursionError) as exc:  # as in parse_config
         raise ReportError(f"{path}: not valid JSON ({exc})") from exc
     missing = [k for k in required if not isinstance(blob, dict) or k not in blob]
@@ -374,7 +389,7 @@ def _read_series_csv(path: Path, expect_key: str) -> dict:
     if wrong_length:
         raise ReportError(f"{path}: lines {wrong_length} do not hold {len(header)} values")
     try:
-        return {name: [float(row[j]) for row in table[1:]] for j, name in enumerate(header)}
+        return {name: [_finite(row[j]) for row in table[1:]] for j, name in enumerate(header)}
     except ValueError as exc:
         raise ReportError(f"{path}: not a series table ({exc!r})") from exc
 

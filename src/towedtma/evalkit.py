@@ -7,7 +7,7 @@ from the error curves; numerically failed runs count as track losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class BenchmarkRow:
     mode: str
     n_runs: int
     track_loss_pct: float
-    terminal_rmse_pos_km: float
+    terminal_rmse_pos_km: Optional[float]  # None: every run was lost
 
 
 def benchmark_row(
@@ -112,11 +112,14 @@ def benchmark_row(
     mode: str,
     bound: float,
 ) -> BenchmarkRow:
-    """Reduce one Monte Carlo cell to its benchmark-table row."""
+    """Reduce one Monte Carlo cell to its benchmark-table row.
+
+    The terminal RMSE is None when no run is kept: JSON has no NaN.
+    """
     try:
         terminal = float(rmse(summaries, POSITION).values[-1])
     except EmptySeriesError:
-        terminal = float("nan")
+        terminal = None
     return BenchmarkRow(
         filter=filter_kind,
         case=case,

@@ -10,8 +10,9 @@ Gaussian on the wrapped innovation, or for the shifted Rayleigh filter the
 bivariate density of its own pseudo-measurement).
 
 The scalar-measurement update is written against a pluggable measurement
-model so the same machinery runs bearing measurements, mirrored-bearing
-measurements, and linear test stubs.
+model. The tracker uses one, ``BEARING``: each side of the bank updates
+on its own slot's bearing (see ``lrtma``), so no mirrored-bearing model
+exists. The tests plug in linear stubs.
 """
 
 from __future__ import annotations

@@ -188,11 +188,26 @@ def init_bank(
     prior: InitPrior,
     obs: ObserverState,
     model: MotionModel,
+    draw: Sequence[float] = (0.0,) * 5,
+    log_odds: float = 0.0,
 ) -> FilterBankState:
-    """Start the bank from the first mirrored pair with equal weights."""
-    b1 = init_side(pair.y1, prior, obs, model)
-    b2 = init_side(pair.y2, prior, obs, model)
-    return FilterBankState(b1, b2, 0.0, pair.t)
+    """Start the bank from the first mirrored pair, its polar draw and log-odds.
+
+    Slot 1 starts ``draw`` standard deviations from the prior means, slot 2
+    at the mirrored draw: its bearing, course and turn-rate offsets are
+    negated, as ``0.0 - d`` so that a zero offset stays +0.0 as in the
+    undrawn start. Infinite log-odds start a bank settled on one slot: only
+    that slot's side is built, and the one belief fills both slots.
+    """
+    d_r, d_th, d_s, d_c, d_psi = draw
+    mirror = (d_r, 0.0 - d_th, d_s, 0.0 - d_c, 0.0 - d_psi)
+    if math.isinf(log_odds):
+        y, d = (pair.y1, draw) if log_odds > 0 else (pair.y2, mirror)
+        b = init_side(y, prior, obs, model, d)
+        return FilterBankState(b, b, log_odds, pair.t)
+    b1 = init_side(pair.y1, prior, obs, model, draw)
+    b2 = init_side(pair.y2, prior, obs, model, mirror)
+    return FilterBankState(b1, b2, log_odds, pair.t)
 
 
 def side_step(

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import gaussfilt, kinematics, lrtma, sensing
-from .gaussfilt import FILTER_KINDS, GaussianBelief
+from .gaussfilt import FILTER_KINDS
 from .kinematics import CV, KNOT, MODEL_KINDS, MotionModel, ObserverState
 from .lrtma import FilterBankState, InitPrior
 from .sensing import BearingPair
@@ -364,11 +364,11 @@ def simulate_run(
 ) -> RunRecord:
     """Simulate one run: truth, mirrored bearings, and the tracker.
 
-    Both modes run one :func:`lrtma.step` loop on the same pairs, which
-    ``measurements`` holds. The "resolved" bank starts at equal weights on
-    both slots. The "known-side" bank holds the true side, started
-    identically, in both slots, settled on ``true_slot`` (log-odds +inf
-    for slot 1, -inf for slot 2).
+    Both modes start the bank with :func:`lrtma.init_bank` from the run's
+    polar draw and run one :func:`lrtma.step` loop on the same pairs, which
+    ``measurements`` holds. The mode is only the initial log-odds:
+    "resolved" starts at 0 (equal weights), "known-side" settled on
+    ``true_slot`` (+inf for slot 1, -inf for slot 2).
     An int ``seed`` means ``run_seed(seed, 0)``: run 0 of that master seed.
     Numerical failures mark the run diverged with a failure code instead of raising.
     """
@@ -400,26 +400,19 @@ def simulate_run(
     if true_slot == 2:
         pairs = [BearingPair(y1=p.y2, y2=p.y1, heading=p.heading, t=p.t) for p in pairs]
 
-    # One polar draw per run, applied to both sides as mirror images (the
-    # angular offsets flip sign on slot 2). A shared draw keeps the two
-    # hypotheses perfectly matched until the geometry separates them, and
-    # keeps known-side runs paired with the bank's true side.
+    # One polar draw per run, which init_bank applies to both sides as
+    # mirror images. A shared draw keeps the two hypotheses perfectly
+    # matched until the geometry separates them, and keeps known-side runs
+    # paired with the bank's true side.
     polar_draw = rng_init.standard_normal(5)
-    mirror_draw = polar_draw * (1, -1, 1, -1, -1)
-
-    def init(slot: int) -> GaussianBelief:
-        y0, draw = (pairs[0].y1, polar_draw) if slot == 1 else (pairs[0].y2, mirror_draw)
-        return lrtma.init_side(y0, prior, observers[1], model, draw)
+    settled = math.inf if true_slot == 1 else -math.inf
+    log_odds = 0.0 if mode == RESOLVED else settled
 
     estimates: list[FilterBankState] = []
     failure: Optional[str] = None
     t0 = time.perf_counter()
     try:
-        if mode == RESOLVED:
-            bank = FilterBankState(init(1), init(2), 0.0, pairs[0].t)
-        else:
-            b = init(true_slot)
-            bank = FilterBankState(b, b, math.inf if true_slot == 1 else -math.inf, pairs[0].t)
+        bank = lrtma.init_bank(pairs[0], prior, observers[1], model, polar_draw, log_odds)
         estimates.append(bank)
         for k in range(2, H + 1):
             bank = lrtma.step(

@@ -344,6 +344,27 @@ class TestReportCommand:
         assert not default.exists()
         assert json.loads(out.read_text()) == want
 
+    def test_all_lost_cell_writes_strict_json(self, tmp_path):
+        # every run ends beyond a tiny bound, so no run is kept and the cell
+        # has no terminal RMSE: summary.json and report.json write null
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"track_bound_km": 1e-300}')
+        mdir = tmp_path / "metrics"
+        argv = ["montecarlo", "--config", str(cfg_path), "--runs", "3", "--out", str(mdir)]
+        assert cli.main(argv) == 0
+        assert cli.main(["report", str(mdir)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-finite constant {name}")
+
+        strict = {}
+        for name in ("summary.json", "timings.json", "manifest.json", "report.json"):
+            strict[name] = json.loads((mdir / name).read_text(), parse_constant=refuse)
+        row = strict["summary.json"]["rows"][0]
+        assert row["track_loss_pct"] == 100.0
+        assert row["terminal_rmse_pos_km"] is None
+        assert strict["report.json"]["summary"] == [row]
+
     def test_report_takes_no_run_options(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["report", str(tmp_path), "--runs", "5"])
@@ -380,7 +401,9 @@ class TestReportCommand:
         self._refused(tmp_path, capsys, "manifest.json")
 
     @pytest.mark.parametrize(
-        "keep_lines, bad_cell", [(1, None), (None, "abc")], ids=["no-header", "non-numeric"]
+        "keep_lines, bad_cell",
+        [(1, None), (None, "abc"), (None, "inf"), (None, "nan")],
+        ids=["no-header", "non-numeric", "infinite", "nan"],
     )
     def test_main_refuses_unreadable_series(self, tmp_path, capsys, keep_lines, bad_cell):
         name = "metrics_ekf_cv_resolved.csv"
@@ -443,6 +466,10 @@ class TestReportCommand:
                                        "n_runs": True, "track_loss_pct": 0.0}]),
             ("timings.json", "rows", [{"filter": "ekf", "case": "cv", "mode": "resolved",
                                        "mean_wall_s": 0.1, "rel_exec_time": True}]),
+            # JSON has no NaN: a row of the right shape that holds one is refused
+            ("summary.json", "rows", [{"filter": "ekf", "case": "cv", "mode": "resolved",
+                                       "n_runs": 3, "track_loss_pct": float("nan"),
+                                       "terminal_rmse_pos_km": 0.1}]),
         ],
     )
     def test_main_refuses_part_of_wrong_shape(self, tmp_path, capsys, culprit, key, value):

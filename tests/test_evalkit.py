@@ -135,11 +135,12 @@ class TestBenchmarkRow:
         assert row.terminal_rmse_pos_km == pytest.approx(0.5)
         assert row.n_runs == 4
 
-    def test_all_lost_has_nan_rmse(self):
+    def test_all_lost_has_null_rmse(self):
+        # None, which summary.json writes as null: JSON has no NaN
         sums = [summary([[9.0, 9.0]], term_err=9.0, diverged=True) for _ in range(3)]
         row = benchmark_row(sums, "ekf", "cv", "resolved", bound=1.0)
         assert row.track_loss_pct == 100.0
-        assert np.isnan(row.terminal_rmse_pos_km)
+        assert row.terminal_rmse_pos_km is None
 
     def test_mean_wall_time(self):
         sums = [summary([[0.0, 0.0]], wall=1.0), summary([[0.0, 0.0]], wall=3.0)]

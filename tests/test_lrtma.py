@@ -156,19 +156,35 @@ class TestInitSide:
         heading=st.floats(-np.pi, np.pi),
         xyv=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
         case=st.sampled_from([CV, CT]),
+        draw=st.lists(st.floats(-4.0, 4.0), min_size=5, max_size=5),
+        log_odds=st.sampled_from([0.0, math.inf, -math.inf]),
     )
-    @example(y1=np.pi, heading=0.0, xyv=[0.0, 0.0, 0.1, 0.1], case=CV)
-    @example(y1=np.nextafter(-np.pi, 0.0), heading=np.pi / 2, xyv=[1.0, -2.0, 0.1, 0.1], case=CT)
+    @example(y1=np.pi, heading=0.0, xyv=[0.0, 0.0, 0.1, 0.1], case=CV,
+             draw=[0.0] * 5, log_odds=0.0)
+    @example(y1=np.nextafter(-np.pi, 0.0), heading=np.pi / 2, xyv=[1.0, -2.0, 0.1, 0.1],
+             case=CT, draw=[0.0] * 5, log_odds=0.0)
+    @example(y1=0.4, heading=1.0, xyv=[1.0, -2.0, 0.1, 0.1], case=CT,
+             draw=[0.0] * 5, log_odds=math.inf)
     @settings(max_examples=300, deadline=None)
-    def test_init_bank_on_a_reflected_pair_is_the_mirrored_bank(self, y1, heading, xyv, case):
+    def test_init_bank_on_a_reflected_pair_is_the_mirrored_bank(
+        self, y1, heading, xyv, case, draw, log_odds
+    ):
         # reflecting the pair and the observer across north must give the
-        # bank with its sides swapped and D applied to mean and covariance
+        # bank with its sides swapped, its log-odds negated and D applied to
+        # mean and covariance, for every polar draw and initial log-odds
         model = MotionModel(kind=case, T=1.0, q1=1e-6, q2=1e-7)
         obs = ObserverState(*xyv, heading=heading)
         pair = BearingPair(y1=y1, y2=wrap_angle(2.0 * heading - y1), heading=heading, t=1)
-        bank = init_bank(pair, default_prior(), obs, model)
-        bank_r = init_bank(reflect_pair(pair), default_prior(), reflect_observer(obs), model)
+        draw = np.array(draw)
+        bank = init_bank(pair, default_prior(), obs, model, draw, log_odds)
+        bank_r = init_bank(
+            reflect_pair(pair), default_prior(), reflect_observer(obs), model, draw, -log_odds
+        )
         assert reflects_exactly(bank, bank_r)
+        if math.isinf(log_odds):
+            # a settled start builds the live side once and fills both slots
+            assert bank.belief1 is bank.belief2 is bank.fused
+            assert bank_r.belief1 is bank_r.belief2 is bank_r.fused
 
     @pytest.mark.parametrize("value", [0.0, -5.0, math.nan])
     @pytest.mark.parametrize("name", ["r_bar", "s_bar", "sigma_psi"])

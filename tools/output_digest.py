@@ -34,10 +34,13 @@ and hashes six parts, printing each part's digest to stderr:
   written to a temporary directory. Each carries its manifest key. The
   montecarlo command runs twice, serially and with ``--workers 2``; the
   tool exits non-zero unless both write the same bytes, which it then
-  hashes once. Of the serial run's ``timings.json`` it hashes the layout
-  but not the wall-clock values: the top-level keys, ``manifest_key`` and
-  ``note``, and per row its keys, its cell and whether ``rel_exec_time``
-  is null.
+  hashes once. ``towedtma report`` then runs on the serial directory, and
+  the tool exits non-zero unless every JSON file there parses with
+  ``NaN`` and ``Infinity`` refused. Of ``timings.json`` it hashes the
+  layout but not the wall-clock values: the top-level keys,
+  ``manifest_key`` and ``note``, and per row its keys, its cell and
+  whether ``rel_exec_time`` is null. It hashes ``report.json`` with its
+  ``timings`` rows cut to that same row layout.
 
 Digests depend on the platform's floating-point libraries, so compare two
 trees on one machine; no test stores a digest.
@@ -169,6 +172,16 @@ def init_digest(h) -> None:
                     _feed(h, b.mean, b.cov)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite constant {name}")
+
+
+def _timings_layout(rows: list) -> list:
+    # the rows' cells and keys, not their wall-clock values
+    return [[list(row), row["filter"], row["case"], row["mode"], row["rel_exec_time"] is None]
+            for row in rows]
+
+
 def files_digest(h) -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp)
@@ -185,12 +198,19 @@ def files_digest(h) -> None:
         for path in files:
             h.update(path.name.encode())
             h.update(path.read_bytes())
-        timings = json.loads((out / "mc" / "timings.json").read_text())
-        layout = [list(timings), timings["manifest_key"], timings["note"]] + [
-            [list(row), row["filter"], row["case"], row["mode"], row["rel_exec_time"] is None]
-            for row in timings["rows"]
-        ]
-        h.update(json.dumps(layout).encode())
+        assert cli.main(["report", str(out / "mc")]) == 0
+        blobs = {}
+        for path in sorted(out.glob("mc/*.json")):
+            try:
+                blobs[path.name] = json.loads(path.read_text(), parse_constant=_refuse_constant)
+            except ValueError as exc:
+                sys.exit(f"files: {path.name} is not strict JSON ({exc})")
+        timings = blobs["timings.json"]
+        layout = [list(timings), timings["manifest_key"], timings["note"]]
+        h.update(json.dumps(layout + _timings_layout(timings["rows"])).encode())
+        report = blobs["report.json"]
+        report["timings"] = _timings_layout(report["timings"])
+        h.update(json.dumps(report).encode())
 
 
 def main() -> int:
