@@ -412,13 +412,17 @@ def simulate_run(
     failure: Optional[str] = None
     t0 = time.perf_counter()
     try:
-        bank = lrtma.init_bank(pairs[0], prior, observers[1], model, polar_draw, log_odds)
-        estimates.append(bank)
-        for k in range(2, H + 1):
-            bank = lrtma.step(
-                bank, pairs[k - 1], observers[k - 1], observers[k], model, cfg.filter_kind, sigma
-            )
+        # overflowing filter arithmetic fails the run by the exception it
+        # leads to; numpy's warnings about it would only clutter stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            bank = lrtma.init_bank(pairs[0], prior, observers[1], model, polar_draw, log_odds)
             estimates.append(bank)
+            for k in range(2, H + 1):
+                bank = lrtma.step(
+                    bank, pairs[k - 1], observers[k - 1], observers[k], model, cfg.filter_kind,
+                    sigma,
+                )
+                estimates.append(bank)
     except (gaussfilt.FilterNumericsError, sensing.ZeroRangeError, np.linalg.LinAlgError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
         while len(estimates) < H:

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -243,6 +246,28 @@ class TestCellFlags:
             cli.main(["track", flag, value, "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+class TestOverflowingFilterArithmetic:
+    # finite variances (Q's diagonal about 3e307) whose products overflow
+    # inside the filter: the runs fail, and stderr carries no numpy warning
+    @pytest.mark.parametrize("argv, code", [
+        (["montecarlo", "--runs", "2", "--filter", "all", "--case", "all", "--mode", "all"], 0),
+        (["track"], 3),
+    ])
+    def test_runs_fail_without_runtime_warnings(self, tmp_path, argv, code):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"q1": 1e305, "T": 10.0}')
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-m", "towedtma", *argv, "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == code, out.stderr
+        assert "Warning" not in out.stderr, out.stderr
 
 
 class TestMonteCarloCommand:

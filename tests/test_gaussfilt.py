@@ -428,17 +428,36 @@ class TestSrfUpdate:
             )
             assert gaussfilt.shifted_rayleigh_moments(u) == want
 
-    def test_import_does_not_load_scipy_stats(self):
+    def test_runtime_does_not_load_scipy(self):
+        # scipy costs about 0.3 s of start-up; a lazy import would only move
+        # that into the first SRF update, so check after running one too
         src = os.path.dirname(os.path.dirname(gaussfilt.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        code = "import sys, towedtma; print('scipy.stats' in sys.modules)"
+        code = """
+import sys
+
+def scipy_modules(stage):
+    print(stage, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+
+import towedtma
+scipy_modules("import towedtma")
+import towedtma.cli
+scipy_modules("import towedtma.cli")
+from towedtma import simkit
+for case in ("cv", "ct"):
+    cfg = simkit.ScenarioConfig(n_runs=1, filter_kind="srf", model_kind=case)
+    assert len(simkit.run_monte_carlo(cfg)) == 1
+    scipy_modules("srf run " + case)
+"""
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.splitlines() == [
+            "import towedtma []", "import towedtma.cli []", "srf run cv []", "srf run ct []"
+        ]
 
     def test_far_tail_moments_finite(self):
         rho1, rho2 = gaussfilt.shifted_rayleigh_moments(-50.0)
