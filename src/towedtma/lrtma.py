@@ -22,13 +22,15 @@ normalization. Evidence therefore accumulates without bound: a side whose
 weight fell to e^-3000 stays that far behind, and one bad innovation on the
 surviving side cannot hand the weight back, as it would if the weights
 were kept as linear numbers that underflow and get clamped. The fused
-output is the weighted Gaussian mixture of the two sides (mean plus
-spread-of-means covariance) and is report-only: the side filters are never
-reset from it.
+output is the weighted Gaussian mixture of the two sides. Its mean, the
+tracker's point estimate, comes with each step; its spread-of-means
+covariance is built the first time it is read. The side filters are never
+reset from either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -69,24 +71,32 @@ class InitPrior:
 class FilterBankState:
     """The two side beliefs, their log-odds, and the fused output.
 
-    ``log_odds`` is log w1 - log w2. ``fused`` is derived on construction:
-    the weighted mixture of the sides for finite log-odds. Infinite log-odds
+    ``log_odds`` is log w1 - log w2. ``mean``, the fused point estimate, is
+    set on construction: the weighted mixture mean of the sides for finite
+    log-odds. ``fused`` adds the mixture covariance and is built the first
+    time it is read; its mean is ``mean`` bit for bit. Infinite log-odds
     settle the bank on one side (+inf: side 1, -inf: side 2), and ``fused``
-    is then that side's belief object itself.
+    is then that side's belief object itself, ``mean`` that belief's mean.
     """
 
     belief1: GaussianBelief
     belief2: GaussianBelief
     log_odds: float
     t: int
-    fused: GaussianBelief = field(init=False)
+    mean: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if math.isinf(self.log_odds):
-            # not fuse(b, b, (1, 0)): its symmetrize would move the bits
-            self.fused = self.belief1 if self.log_odds > 0 else self.belief2
+            self.mean = (self.belief1 if self.log_odds > 0 else self.belief2).mean
         else:
-            self.fused = fuse(self.belief1, self.belief2, side_weights(self.log_odds))
+            self.mean = _mixture_mean(self.belief1, self.belief2, side_weights(self.log_odds))
+
+    @functools.cached_property
+    def fused(self) -> GaussianBelief:
+        if math.isinf(self.log_odds):
+            # not fuse(b, b, (1, 0)): its symmetrize would move the bits
+            return self.belief1 if self.log_odds > 0 else self.belief2
+        return fuse(self.belief1, self.belief2, side_weights(self.log_odds))
 
     @property
     def w1(self) -> float:
@@ -169,6 +179,13 @@ def update_log_odds(log_odds: float, ll1: float, ll2: float) -> float:
     return log_odds if math.isnan(post) else post
 
 
+def _mixture_mean(
+    b1: GaussianBelief, b2: GaussianBelief, w: tuple[float, float]
+) -> np.ndarray:
+    # the one expression of the fused mean, shared by the bank and fuse
+    return w[0] * b1.mean + w[1] * b2.mean
+
+
 def fuse(
     b1: GaussianBelief, b2: GaussianBelief, w: tuple[float, float]
 ) -> GaussianBelief:
@@ -176,7 +193,7 @@ def fuse(
     if b1.dim != b2.dim:
         raise ValueError(f"side dims differ: {b1.dim} vs {b2.dim}")
     w1, w2 = w
-    mean = w1 * b1.mean + w2 * b2.mean
+    mean = _mixture_mean(b1, b2, w)
     d1 = b1.mean - mean
     d2 = b2.mean - mean
     cov = w1 * (b1.cov + d1[:, None] * d1) + w2 * (b2.cov + d2[:, None] * d2)
@@ -242,7 +259,7 @@ def step(
     filter_kind: str,
     noise_std: float,
 ) -> FilterBankState:
-    """One recursion of the bank: :func:`side_step` on each side, weight, fuse.
+    """One recursion of the bank: :func:`side_step` on each side, weight, fused mean.
 
     A settled bank (infinite log-odds) steps only its live side, on that
     slot's bearing, and keeps its log-odds; a side of weight 0 cannot move

@@ -13,16 +13,15 @@ depend on worker count or execution order.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import os
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -31,6 +30,9 @@ from .gaussfilt import FILTER_KINDS
 from .kinematics import CV, KNOT, MODEL_KINDS, MotionModel, ObserverState
 from .lrtma import FilterBankState, InitPrior
 from .sensing import BearingPair
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 RESOLVED = "resolved"
 KNOWN_SIDE = "known-side"
@@ -431,7 +433,7 @@ def simulate_run(
 
     truth_rel = rel_all[1:]
     if failure is None:
-        est_r = float(np.hypot(*estimates[-1].fused.mean[0:2]))
+        est_r = float(np.hypot(*estimates[-1].mean[0:2]))
         true_r = float(np.hypot(*truth_rel[-1][0:2]))
         term_err = abs(est_r - true_r)
         diverged = term_err > cfg.track_bound_km
@@ -455,7 +457,7 @@ def simulate_run(
 
 def summarize_run(rec: RunRecord) -> RunSummary:
     """Reduce a run to the arrays the evaluation metrics need."""
-    fused = np.array([est.fused.mean for est in rec.estimates])
+    fused = np.array([est.mean for est in rec.estimates])
     truth = np.asarray(rec.truth_rel)[: len(fused)]
     first_decided = next(
         (e.t for e in rec.estimates if max(lrtma.side_weights(e.log_odds)) >= lrtma.DECIDED_WEIGHT),
@@ -480,13 +482,18 @@ def _run_summary(cfg: ScenarioConfig, mode: str, index: int) -> RunSummary:
 
 # The process's Monte Carlo worker pool and its size. The first pooled
 # run_monte_carlo call starts it; concurrent.futures joins its workers
-# when the interpreter exits.
+# when the interpreter exits. concurrent.futures.process pulls in
+# multiprocessing and logging, so only a pooled call imports it; being
+# imported after this module, it is torn down first at exit, so an exit
+# hook drops the pool while the executor's finalizer can still run.
 _POOL: Optional[tuple[int, ProcessPoolExecutor]] = None
 _POOL_LOCK = threading.Lock()
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The pool of ``workers`` processes, replacing one of another size."""
+    from concurrent.futures import ProcessPoolExecutor
+
     global _POOL
     if _POOL is not None and _POOL[0] != workers:
         _close_pool()
@@ -500,6 +507,9 @@ def _close_pool() -> None:
     if _POOL is not None:
         pool, _POOL = _POOL[1], None
         pool.shutdown(wait=True)
+
+
+atexit.register(_close_pool)
 
 
 def run_monte_carlo(
@@ -523,6 +533,8 @@ def run_monte_carlo(
         return list(map(run, range(cfg.n_runs)))
     # about four chunks per worker
     chunksize = math.ceil(cfg.n_runs / (4 * workers))
+    from concurrent.futures.process import BrokenProcessPool
+
     with _POOL_LOCK:
         try:
             results = _pool(workers).map(run, range(cfg.n_runs), chunksize=chunksize)

@@ -263,6 +263,18 @@ class TestFuse:
         assert_same_bits(got.mean, want.mean)
         assert_same_bits(got.cov, want.cov)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    @given(data=st.data(), log_odds=st.sampled_from([0.0, 1e3, -1e3])
+           | st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100, deadline=None)
+    def test_bank_mixture_built_on_read(self, n, data, log_odds):
+        b1, b2 = data.draw(beliefs(n)), data.draw(beliefs(n))
+        bank = lrtma.FilterBankState(b1, b2, log_odds, 1)
+        want = old_fuse(b1, b2, lrtma.side_weights(log_odds))
+        assert_same_bits(bank.mean, want.mean)
+        assert_same_bits(bank.fused.mean, want.mean)
+        assert_same_bits(bank.fused.cov, want.cov)
+
 
 def from_bits(bits):
     return float(np.uint64(bits).view(np.float64))

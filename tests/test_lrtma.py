@@ -359,10 +359,18 @@ class TestFuse:
     def test_bank_fuses_sides_at_finite_log_odds(self, seed, n, log_odds):
         rng = np.random.default_rng(seed)
         b1, b2 = (self._belief(rng.normal(size=n), A @ A.T) for A in rng.normal(size=(2, n, n)))
-        got = lrtma.FilterBankState(b1, b2, log_odds, 1).fused
+        bank = lrtma.FilterBankState(b1, b2, log_odds, 1)
         want = fuse(b1, b2, side_weights(log_odds))
+        # the step's mean first, then the mixture built on read
+        assert bank.mean.tobytes() == want.mean.tobytes()
+        got = bank.fused
         assert got.mean.tobytes() == want.mean.tobytes()
         assert got.cov.tobytes() == want.cov.tobytes()
+        assert bank.fused is got
+        for settled, live in ((math.inf, b1), (-math.inf, b2)):
+            bank = lrtma.FilterBankState(b1, b2, settled, 1)
+            assert bank.mean is live.mean
+            assert bank.fused is live
 
     def test_interior_weights_spread_covariance(self):
         rng = np.random.default_rng(1)

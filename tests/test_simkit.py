@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -7,7 +8,6 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -405,6 +405,38 @@ class TestMonteCarlo:
             assert [est.log_odds for est in rec.estimates] == [settled] * cfg.horizon
             assert stepped == [settled] * (cfg.horizon - 1)
 
+    @pytest.mark.parametrize("case", [CV, CT])
+    def test_engine_never_builds_the_mixture_covariance(self, monkeypatch, case):
+        # the summaries read each bank's fused mean; only fuse builds the covariance
+        cfgs = [ScenarioConfig(filter_kind=kind, model_kind=case, n_runs=2)
+                for kind in FILTER_KINDS]
+        want = [_summary_bytes(run_monte_carlo(cfg)) for cfg in cfgs]
+
+        def no_fuse(*args):
+            raise gaussfilt.FilterNumericsError("fuse called")
+
+        monkeypatch.setattr(lrtma, "fuse", no_fuse)
+        got = [run_monte_carlo(cfg) for cfg in cfgs]
+        assert [s.failure for sums in got for s in sums] == [None] * 2 * len(cfgs)
+        assert [_summary_bytes(sums) for sums in got] == want
+
+    def test_serial_run_imports_no_process_pool(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from towedtma import cli\n"
+            "assert cli.main(['montecarlo', '--filter', 'ekf', '--case', 'cv', '--mode',\n"
+            "                 'resolved', '--runs', '1', '--out', sys.argv[1]]) == 0\n"
+            "print('loaded:', *(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+            "                   if m in sys.modules))\n"
+        )
+        src = str(Path(towedtma.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded:"
+
     def test_n_runs_validation(self):
         with pytest.raises(ConfigError, match="^n_runs: "):
             run_monte_carlo(ScenarioConfig(n_runs=0))
@@ -412,7 +444,7 @@ class TestMonteCarlo:
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         log = []
         monkeypatch.setattr(simkit, "_POOL", None)
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", _inline_pool(log))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(log))
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
         serial = run_monte_carlo(cfg)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -434,7 +466,7 @@ class TestMonteCarlo:
     def test_pool_gets_about_four_chunks_per_worker(self, monkeypatch, n_runs, sizes):
         pool = _inline_pool([])
         monkeypatch.setattr(simkit, "_POOL", None)
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(simkit, "_run_summary", lambda cfg, mode, index: index)
         assert run_monte_carlo(ScenarioConfig(n_runs=n_runs), workers=2) == list(range(n_runs))
@@ -443,14 +475,15 @@ class TestMonteCarlo:
     def test_broken_pool_fails_the_call_and_is_dropped(self, monkeypatch):
         log = []
         monkeypatch.setattr(simkit, "_POOL", None)
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", _inline_pool(log, broken_chunk=1))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _inline_pool(log, broken_chunk=1))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
         with pytest.raises(BrokenProcessPool):
             run_monte_carlo(cfg, workers=2)
         assert simkit._POOL is None
         assert log == [("start", 2), ("shutdown", True)]
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", _inline_pool(log))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(log))
         assert _summary_bytes(run_monte_carlo(cfg, workers=2)) == _summary_bytes(
             run_monte_carlo(cfg))
         assert log[2:] == [("start", 2)]
@@ -560,12 +593,12 @@ class TestWorkerPool:
     def test_one_pool_per_process(self, fresh_pool, monkeypatch, tmp_path):
         sizes = []
 
-        class CountingPool(ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=4)
         run_monte_carlo(cfg, workers=2)
         run_monte_carlo(cfg, mode=KNOWN_SIDE, workers=2)

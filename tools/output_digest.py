@@ -8,8 +8,9 @@ It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
 and hashes six parts, printing each part's digest to stderr:
 
 * ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
-  per run the side beliefs, fused estimates and log-odds of every step,
-  the failure string and the true slot.
+  per run the log-odds, the bank's fused mean (what the run summaries
+  read), the side beliefs and the fused estimate built on read of every
+  step, the failure string and the true slot.
 * ``points``: 50 random beliefs at n = 4 and n = 5 through ``points_for``
   for every sample-point kind; points and weights.
 * ``kinematics``: ``ct_transition`` on single states and on batches,
@@ -84,7 +85,7 @@ def runs_digest(h) -> None:
                     rec = simkit.simulate_run(cfg, simkit.run_seed(SEED, i), mode=mode)
                     h.update(f"{kind}.{case}.{mode}.{i}:{rec.failure}:{rec.true_slot}".encode())
                     for est in rec.estimates:
-                        _feed(h, [est.log_odds])
+                        _feed(h, [est.log_odds], est.mean)
                         for b in (est.belief1, est.belief2, est.fused):
                             _feed(h, b.mean, b.cov)
 
