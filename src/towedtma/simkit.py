@@ -8,7 +8,9 @@ constant-rate arc so the array heading stays well defined throughout.
 
 Runs are mutually independent and fully reproducible: run i draws all of
 its noise from a child of the master seed keyed by i, so results never
-depend on worker count or execution order.
+depend on worker count or execution order. A run has two halves:
+:func:`synthesize_run` draws its inputs from that seed, and :func:`track_run`
+runs the bank over them.
 """
 
 from __future__ import annotations
@@ -324,18 +326,25 @@ def relative_truth(target: np.ndarray, observers: list[ObserverState]) -> np.nda
 
 
 @dataclass
-class RunRecord:
-    """Everything one simulated run produced."""
+class RunInputs:
+    """What one run's tracker reads, as :func:`synthesize_run` draws it."""
 
-    truth_rel: np.ndarray            # (horizon, dim), steps 1..horizon
-    target_abs: np.ndarray           # (horizon + 1, dim)
     observers: list[ObserverState]   # horizon + 1 samples
-    measurements: list[BearingPair]  # horizon entries
+    target_abs: np.ndarray           # (horizon + 1, dim)
+    truth_rel: np.ndarray            # (horizon, dim), steps 1..horizon
+    measurements: list[BearingPair]  # horizon entries, in slot order
+    true_slot: int
+    polar_draw: np.ndarray           # (5,) standard normal
+
+
+@dataclass
+class RunRecord(RunInputs):
+    """Everything one simulated run produced: its inputs and the tracker's output."""
+
     estimates: list[FilterBankState]  # horizon entries, first is the init
     wall_time: float
     diverged: bool
     failure: Optional[str]
-    true_slot: int
     terminal_range_error: float
 
 
@@ -350,8 +359,11 @@ class RunSummary:
     first_decided_step: Optional[int]
     wall_time: float
     diverged: bool
-    failed: bool
     failure: Optional[str]
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
 
 
 def run_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -359,44 +371,25 @@ def run_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
 
 
-def simulate_run(
-    cfg: ScenarioConfig,
-    seed: int | np.random.SeedSequence,
-    mode: str = RESOLVED,
-) -> RunRecord:
-    """Simulate one run: truth, mirrored bearings, and the tracker.
-
-    Both modes start the bank with :func:`lrtma.init_bank` from the run's
-    polar draw and run one :func:`lrtma.step` loop on the same pairs, which
-    ``measurements`` holds. The mode is only the initial log-odds:
-    "resolved" starts at 0 (equal weights), "known-side" settled on
-    ``true_slot`` (+inf for slot 1, -inf for slot 2).
-    An int ``seed`` means ``run_seed(seed, 0)``: run 0 of that master seed.
-    Numerical failures mark the run diverged with a failure code instead of raising.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else run_seed(seed, 0)
+def synthesize_run(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> RunInputs:
+    """One run's inputs from four child streams of ``seed``: the truth's
+    process noise, the bearing noise, the slot swap and the polar draw."""
     # derive the child streams statelessly: SeedSequence.spawn would mutate
     # the caller's object and break same-seed reproducibility
     children = [
-        np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (j,))
+        np.random.SeedSequence(entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (j,))
         for j in range(4)
     ]
     rng_proc, rng_meas, rng_misc, rng_init = (np.random.default_rng(c) for c in children)
-
-    model = cfg.motion_model()
-    prior = cfg.prior()
-    sigma = cfg.sigma_theta_rad
-    H = cfg.horizon
 
     observers = list(_observer_track_cached(cfg))
     target = gen_target_track(cfg, rng_proc)
     rel_all = relative_truth(target, observers)
 
+    sigma = cfg.sigma_theta_rad
     pairs = [
         sensing.measure(rel_all[k], observers[k].heading, sigma, rng_meas, t=k)
-        for k in range(1, H + 1)
+        for k in range(1, cfg.horizon + 1)
     ]
     true_slot = 2 if rng_misc.random() < 0.5 else 1
     if true_slot == 2:
@@ -406,9 +399,16 @@ def simulate_run(
     # mirror images. A shared draw keeps the two hypotheses perfectly
     # matched until the geometry separates them, and keeps known-side runs
     # paired with the bank's true side.
-    polar_draw = rng_init.standard_normal(5)
-    settled = math.inf if true_slot == 1 else -math.inf
-    log_odds = 0.0 if mode == RESOLVED else settled
+    return RunInputs(observers, target, rel_all[1:], pairs, true_slot, rng_init.standard_normal(5))
+
+
+def track_run(inputs: RunInputs, cfg: ScenarioConfig, log_odds: float) -> RunRecord:
+    """The bank from :func:`lrtma.init_bank` at ``log_odds`` and one
+    :func:`lrtma.step` per later pair; only that loop is timed. Numerical
+    failures mark the run diverged with a failure code instead of raising.
+    """
+    model, prior, sigma, H = cfg.motion_model(), cfg.prior(), cfg.sigma_theta_rad, cfg.horizon
+    observers, pairs = inputs.observers, inputs.measurements
 
     estimates: list[FilterBankState] = []
     failure: Optional[str] = None
@@ -417,7 +417,8 @@ def simulate_run(
         # overflowing filter arithmetic fails the run by the exception it
         # leads to; numpy's warnings about it would only clutter stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            bank = lrtma.init_bank(pairs[0], prior, observers[1], model, polar_draw, log_odds)
+            bank = lrtma.init_bank(pairs[0], prior, observers[1], model, inputs.polar_draw,
+                                   log_odds)
             estimates.append(bank)
             for k in range(2, H + 1):
                 bank = lrtma.step(
@@ -431,28 +432,37 @@ def simulate_run(
             estimates.append(estimates[-1])
     wall = time.perf_counter() - t0
 
-    truth_rel = rel_all[1:]
     if failure is None:
         est_r = float(np.hypot(*estimates[-1].mean[0:2]))
-        true_r = float(np.hypot(*truth_rel[-1][0:2]))
+        true_r = float(np.hypot(*inputs.truth_rel[-1][0:2]))
         term_err = abs(est_r - true_r)
         diverged = term_err > cfg.track_bound_km
     else:
         term_err = float("nan")
         diverged = True
 
-    return RunRecord(
-        truth_rel=truth_rel,
-        target_abs=target,
-        observers=observers,
-        measurements=pairs,
-        estimates=estimates,
-        wall_time=wall,
-        diverged=diverged,
-        failure=failure,
-        true_slot=true_slot,
-        terminal_range_error=term_err,
-    )
+    return RunRecord(**vars(inputs), estimates=estimates, wall_time=wall, diverged=diverged,
+                     failure=failure, terminal_range_error=term_err)
+
+
+def simulate_run(
+    cfg: ScenarioConfig,
+    seed: int | np.random.SeedSequence,
+    mode: str = RESOLVED,
+) -> RunRecord:
+    """:func:`track_run` on :func:`synthesize_run`'s inputs.
+
+    The mode is only the initial log-odds: "resolved" starts at 0 (equal
+    weights), "known-side" settled on ``true_slot`` (+inf for slot 1, -inf
+    for slot 2). An int ``seed`` means ``run_seed(seed, 0)``: run 0 of that
+    master seed.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    ss = seed if isinstance(seed, np.random.SeedSequence) else run_seed(seed, 0)
+    inputs = synthesize_run(cfg, ss)
+    settled = math.inf if inputs.true_slot == 1 else -math.inf
+    return track_run(inputs, cfg, 0.0 if mode == RESOLVED else settled)
 
 
 def summarize_run(rec: RunRecord) -> RunSummary:
@@ -471,7 +481,6 @@ def summarize_run(rec: RunRecord) -> RunSummary:
         first_decided_step=first_decided,
         wall_time=rec.wall_time,
         diverged=rec.diverged,
-        failed=rec.failure is not None,
         failure=rec.failure,
     )
 

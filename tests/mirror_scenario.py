@@ -6,6 +6,8 @@ flipping, so the bank run on the reflected scenario must be the original
 bank with its sides swapped and its state reflected.
 """
 
+import dataclasses
+
 import numpy as np
 
 from towedtma import lrtma, sensing, simkit
@@ -30,28 +32,27 @@ def mirrored_banks(cfg: simkit.ScenarioConfig, filter_kind: str, noise_seed: int
     """Run the bank on cfg's noise-free truth and on its reflection.
 
     The bearings carry noise from ``default_rng(noise_seed)``, with the true
-    detection in slot 1. Yields (bank, reflected bank) for t = 1..horizon.
+    detection in slot 1. Both runs go through :func:`simkit.track_run` at
+    log-odds 0 from a zero polar draw. Returns (bank, reflected bank) pairs
+    for t = 1..horizon.
     """
-    model, prior, sigma = cfg.motion_model(), cfg.prior(), cfg.sigma_theta_rad
+    cfg = dataclasses.replace(cfg, filter_kind=filter_kind)
     observers = simkit.gen_observer_track(cfg)
-    observers_r = [reflect_observer(o) for o in observers]
-    rel = simkit.relative_truth(simkit.gen_target_track(cfg), observers)
-    nu = np.random.default_rng(noise_seed).normal(size=cfg.horizon + 1) * sigma
+    target = simkit.gen_target_track(cfg)
+    rel = simkit.relative_truth(target, observers)
+    nu = np.random.default_rng(noise_seed).normal(size=cfg.horizon + 1) * cfg.sigma_theta_rad
     pairs = []
     for k in range(1, cfg.horizon + 1):
         h = observers[k].heading
         y1 = wrap_angle(sensing.true_bearing(rel[k]) + nu[k])
         pairs.append(BearingPair(y1=y1, y2=wrap_angle(2.0 * h - y1), heading=h, t=k))
-    pairs_r = [reflect_pair(p) for p in pairs]
-
-    bank = lrtma.init_bank(pairs[0], prior, observers[1], model)
-    bank_r = lrtma.init_bank(pairs_r[0], prior, observers_r[1], model)
-    yield bank, bank_r
-    for k in range(2, cfg.horizon + 1):
-        args = (model, filter_kind, sigma)
-        bank = lrtma.step(bank, pairs[k - 1], observers[k - 1], observers[k], *args)
-        bank_r = lrtma.step(bank_r, pairs_r[k - 1], observers_r[k - 1], observers_r[k], *args)
-        yield bank, bank_r
+    D = reflection(target.shape[1])
+    inputs = simkit.RunInputs(observers, target, rel[1:], pairs, 1, np.zeros(5))
+    reflected = simkit.RunInputs([reflect_observer(o) for o in observers], target @ D,
+                                 rel[1:] @ D, [reflect_pair(p) for p in pairs], 2, np.zeros(5))
+    rec, rec_r = (simkit.track_run(i, cfg, 0.0) for i in (inputs, reflected))
+    assert rec.failure is None and rec_r.failure is None
+    return zip(rec.estimates, rec_r.estimates)
 
 
 def reflects_exactly(bank: lrtma.FilterBankState, bank_r: lrtma.FilterBankState) -> bool:

@@ -14,7 +14,7 @@ from towedtma.evalkit import (
 from towedtma.simkit import RunSummary
 
 
-def summary(pos, vel=None, term_err=0.0, diverged=False, failed=False, wall=1.0):
+def summary(pos, vel=None, term_err=0.0, diverged=False, failure=None, wall=1.0):
     pos = np.asarray(pos, float)
     vel = np.zeros_like(pos) if vel is None else np.asarray(vel, float)
     return RunSummary(
@@ -25,8 +25,7 @@ def summary(pos, vel=None, term_err=0.0, diverged=False, failed=False, wall=1.0)
         first_decided_step=None,
         wall_time=wall,
         diverged=diverged,
-        failed=failed,
-        failure="boom" if failed else None,
+        failure=failure,
     )
 
 
@@ -90,7 +89,7 @@ class TestTrackLoss:
     def test_failed_runs_count(self):
         sums = [
             summary([[0.0, 0.0]], term_err=0.01),
-            summary([[0.0, 0.0]], term_err=float("nan"), diverged=True, failed=True),
+            summary([[0.0, 0.0]], term_err=float("nan"), diverged=True, failure="boom"),
         ]
         assert track_loss_pct(sums, 1.0) == 50.0
 

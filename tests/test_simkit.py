@@ -31,6 +31,8 @@ from towedtma.simkit import (
     run_seed,
     simulate_run,
     summarize_run,
+    synthesize_run,
+    track_run,
 )
 
 
@@ -297,6 +299,7 @@ class TestSimulateRun:
             ss = run_seed(cfg.seed, i)
             init_stream = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (3,))
             draw = np.random.default_rng(init_stream).standard_normal(5)
+            assert synthesize_run(cfg, ss).polar_draw.tobytes() == draw.tobytes()
             rec = simulate_run(cfg, ss)
             known = simulate_run(cfg, ss, mode=KNOWN_SIDE)
             p = rec.measurements[0]
@@ -309,6 +312,27 @@ class TestSimulateRun:
                               (known.estimates[0].fused, rec.true_slot)):
                 assert got.mean.tobytes() == want[slot].mean.tobytes()
                 assert got.cov.tobytes() == want[slot].cov.tobytes()
+
+    @pytest.mark.parametrize("kind, case", [("ekf", CV), ("srf", CT)])
+    def test_one_synthesis_tracks_both_modes(self, kind, case):
+        # track_run on one synthesize_run at log-odds 0 and at the settled
+        # +-inf gives the resolved and known-side runs bit for bit, and leaves
+        # the inputs as they were, so both modes can share one synthesis
+        cfg = ScenarioConfig(filter_kind=kind, model_kind=case)
+        slots = set()
+        for i in (1, 2):
+            ss = run_seed(cfg.seed, i)
+            inputs = synthesize_run(cfg, ss)
+            before = _input_bytes(inputs)
+            slots.add(inputs.true_slot)
+            settled = math.inf if inputs.true_slot == 1 else -math.inf
+            for log_odds, mode in ((0.0, RESOLVED), (settled, KNOWN_SIDE)):
+                got, want = track_run(inputs, cfg, log_odds), simulate_run(cfg, ss, mode=mode)
+                assert (got.true_slot, got.failure) == (want.true_slot, want.failure)
+                assert ([_bank_bytes(e) for e in got.estimates]
+                        == [_bank_bytes(e) for e in want.estimates])
+            assert _input_bytes(inputs) == before
+        assert slots == {1, 2}
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -529,6 +553,13 @@ def _bank_bytes(bank) -> tuple:
     beliefs = (bank.belief1, bank.belief2, bank.fused)
     return (repr(bank.log_odds), bank.t,
             *(a.tobytes() for b in beliefs for a in (b.mean, b.cov)))
+
+
+def _input_bytes(inputs) -> list:
+    """Every array of a run's inputs, its observers and its pairs, exactly."""
+    rows = [[dataclasses.astuple(x) for x in xs] for xs in (inputs.observers, inputs.measurements)]
+    arrays = (inputs.target_abs, inputs.truth_rel, inputs.polar_draw, *map(np.array, rows))
+    return [inputs.true_slot] + [a.tobytes() for a in arrays]
 
 
 def _summary_bytes(sums) -> list:

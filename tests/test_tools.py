@@ -9,6 +9,8 @@ import sys
 import tarfile
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -32,49 +34,72 @@ def _bench_pairs():
     return mod
 
 
-BETTER = {"runs_per_s": "higher", "step_us_p50": "lower"}
+END_TO_END = [{"name": "runs_per_s", "better": "higher", "bound": 0.05},
+              {"name": "step_us_p50", "better": "lower", "bound": 0.05}]
 
 
-def _bench_run(seed, tree, rps=None, correct=True, failed=0):
-    """One run entry as bench_pairs records it; ``rps`` None is a run that errored."""
+def _bench_run(seed, tree, rps=None, correct=True, failed=0, exit_code=1):
+    """One run entry as bench_pairs records it; ``rps`` None is a run that
+    errored with ``exit_code``, 0 for one whose last line is not JSON."""
     result = None if rps is None else {
         "correct": correct, "attempted": 100, "failed": failed,
         "metrics": {"runs_per_s": {"value": rps, "unit": "runs/s"},
                     "step_us_p50": {"value": 1e4 / rps, "unit": "us"}},
     }
-    return {"seed": seed, "tree": tree, "order": 0, "exit_code": 0 if result else 1,
+    return {"seed": seed, "tree": tree, "order": 0, "exit_code": 0 if result else exit_code,
             "result": result}
 
 
 def _synthetic_runs():
-    # seed 1 ties, seed 2 the change wins, seed 3 the parent wins; seed 4's
-    # change run errored, so its parent run enters no median
+    # seed 1 ties, seed 2 the change wins, seed 3 the parent wins; the
+    # change runs of seeds 4 and 5 errored, so their parent runs enter no
+    # median; seed 5's exited 0 with a last line that is not JSON
     return [
         _bench_run(1, "parent", 100.0), _bench_run(1, "change", 100.0),
         _bench_run(2, "parent", 100.0), _bench_run(2, "change", 110.0, correct=False),
         _bench_run(3, "parent", 100.0, failed=2), _bench_run(3, "change", 90.0),
         _bench_run(4, "parent", 1000.0), _bench_run(4, "change"),
+        _bench_run(5, "parent", 1000.0), _bench_run(5, "change", exit_code=0),
     ]
 
 
 def test_bench_summary_drops_half_pairs_and_counts_ties_for_neither():
-    summary = _bench_pairs().summarize(_synthetic_runs(), BETTER)
-    for name in BETTER:
-        s = summary["metrics"][name]
+    summary = _bench_pairs().summarize(_synthetic_runs(), END_TO_END)
+    for metric in END_TO_END:
+        s = summary["metrics"][metric["name"]]
         assert s["pairs"] == 3
         assert s["wins"] == 1
+        assert s["verdict"] == "no_regression"
     rps = summary["metrics"]["runs_per_s"]
     assert rps["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
     assert rps["change"]["median"] == 100.0
     assert summary["bad_runs"] == {
         "parent": {"errored": [], "incorrect": [], "failed": [3]},
-        "change": {"errored": [4], "incorrect": [2], "failed": []},
+        "change": {"errored": [4, 5], "incorrect": [2], "failed": []},
     }
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # the change's median 10% worse, past the 5% bound
+    ([100.0, 100.0, 100.0], [90.0, 90.0, 90.0], "worse_past_bound"),
+    ([80.0, 100.0, 120.0], [90.0, 90.0, 90.0], "worse_past_bound"),
+    # 3% worse: inside the bound, and the parent's runs agree
+    ([100.0, 100.0, 100.0], [97.0, 97.0, 97.0], "no_regression"),
+    # the parent's quartiles are 20 apart, wider than the bound's 5
+    ([80.0, 100.0, 120.0], [99.0, 100.0, 101.0], "unresolved"),
+    ([80.0, 100.0, 120.0], [121.0, 122.0, 200.0], "no_regression"),
+])
+def test_bench_verdict_against_the_bound(parent, change, verdict):
+    runs = [_bench_run(seed, tree, rps) for seed, pair in enumerate(zip(parent, change))
+            for tree, rps in zip(("parent", "change"), pair)]
+    summary = _bench_pairs().summarize(runs, END_TO_END)
+    # step_us_p50 = 1e4 / runs_per_s, lower better: the same verdict
+    assert [summary["metrics"][m["name"]]["verdict"] for m in END_TO_END] == [verdict] * 2
 
 
 def test_bench_summary_without_a_whole_pair_has_no_metrics():
     runs = [_bench_run(1, "parent", 100.0), _bench_run(1, "change")]
-    summary = _bench_pairs().summarize(runs, BETTER)
+    summary = _bench_pairs().summarize(runs, END_TO_END)
     assert summary["metrics"] == {}
     assert summary["bad_runs"]["change"]["errored"] == [1]
 
@@ -84,22 +109,28 @@ def test_bench_pairs_writes_every_run_then_fails_on_a_bad_one(tmp_path, monkeypa
     results = {(r["seed"], r["tree"]): r for r in _synthetic_runs()}
     empty_tar = io.BytesIO()
     tarfile.open(fileobj=empty_tar, mode="w").close()
+    real_run = subprocess.run
 
     def fake_git(*args):
         return {"rev-parse": b"0123abc\n", "archive": empty_tar.getvalue()}.get(args[0], b"")
 
-    def fake_run(tree, workload, seed, seconds):
-        r = results[seed, "change" if tree == mod.ROOT else "parent"]
-        return r["exit_code"], r["result"]
+    def fake_subprocess_run(cmd, **kwargs):
+        # run.py prints its log, then its result as the last line
+        if cmd[0] == "tar":
+            return real_run(cmd, **kwargs)
+        seed = int(cmd[cmd.index("--seed") + 1])
+        r = results[seed, "change" if kwargs["cwd"] == mod.ROOT else "parent"]
+        last = "Traceback: killed" if r["result"] is None else json.dumps(r["result"])
+        return subprocess.CompletedProcess(cmd, r["exit_code"], stdout=f"log line\n{last}\n")
 
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     monkeypatch.setattr(mod, "ROOT", tmp_path)
     monkeypatch.setattr(mod, "_git", fake_git)
-    monkeypatch.setattr(mod, "_run", fake_run)
-    assert mod.main(["--label", "t", "--workload", "w", "--seeds", "1-4"]) == 1
+    monkeypatch.setattr(mod.subprocess, "run", fake_subprocess_run)
+    assert mod.main(["--label", "t", "--workload", "w", "--seeds", "1-5"]) == 1
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     runs = doc["workloads"]["w"]["runs"]
-    assert len(runs) == 8
-    assert [r["exit_code"] for r in runs if r["result"] is None] == [1]
+    assert len(runs) == 10
+    assert [r["exit_code"] for r in runs if r["result"] is None] == [1, 0]
+    assert [r["result"] for r in runs] == [results[r["seed"], r["tree"]]["result"] for r in runs]
     assert doc["workloads"]["w"]["summary"]["metrics"]["runs_per_s"]["pairs"] == 3

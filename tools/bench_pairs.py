@@ -11,12 +11,18 @@ once on each tree, alternating which tree goes first, and writes
 ``BENCH_<label>.json`` at the repository root. The file records every
 run's exit code and last-line JSON with its seed, tree and order, the
 machine's core count (``os.cpu_count()``) and the cores this process may
-run on (``sched_getaffinity``). Its summary lists per tree the seeds whose
-run errored (no result), was ``correct: false`` or had ``failed > 0``, and
+run on (``sched_getaffinity``). A run that exits non-zero, or whose last
+line is not JSON, errored and has no result. The summary lists per tree the
+seeds whose run errored, was ``correct: false`` or had ``failed > 0``, and
 for each end-to-end metric of ``BENCHMARK.json`` both trees' medians and
-quartiles and the number of pairs the change wins (ties count for
-neither), over the pairs where both runs gave a result. Running it again
-with the same label and parent adds or replaces one workload's entry.
+quartiles, the number of pairs the change wins (ties count for neither)
+and a no-regression verdict, over the pairs where both runs gave a result.
+The verdict is ``worse_past_bound`` when the change's median is worse than
+the parent's by more than the metric's ``bound`` times the parent's
+median; else ``unresolved`` when the parent's quartiles lie further apart
+than that, unless every change run beats every parent run; else
+``no_regression``. Running it again with the same label and parent adds or
+replaces one workload's entry.
 
 The file is written whatever the runs did; the tool then exits 1 if any
 run of this call errored or was incorrect.
@@ -50,13 +56,17 @@ def _seeds(spec: str) -> list[int]:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, dict | None]:
-    """``run.py``'s exit code and its last-line JSON, None if it did not exit 0."""
+    """``run.py``'s exit code and its last-line JSON, None if it did not exit 0
+    or its last line is not JSON."""
     cmd = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         return proc.returncode, None
-    return 0, json.loads(proc.stdout.strip().splitlines()[-1])
+    try:
+        return 0, json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return 0, None
 
 
 def _spread(xs: list[float]) -> dict:
@@ -64,9 +74,10 @@ def _spread(xs: list[float]) -> dict:
     return {"median": q[1], "q1": q[0], "q3": q[2]}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Bad runs per tree, and per-metric medians, quartiles and wins of the
-    change over its pair.
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Bad runs per tree, and per-metric medians, quartiles, wins of the
+    change over its pair and no-regression verdict; ``end_to_end`` is the
+    list of that name in ``BENCHMARK.json``.
 
     A run whose ``result`` is None errored; a seed without a result on both
     trees is left out of the medians and wins. Incorrect runs and runs with
@@ -86,11 +97,19 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         by_seed.setdefault(r["seed"], {})[r["tree"]] = res["metrics"]
     pairs = [p for p in by_seed.values() if len(p) == 2]
     out = {}
-    for name, direction in better.items() if pairs else ():
-        sign = 1.0 if direction == "higher" else -1.0
+    for metric in end_to_end if pairs else ():
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         parent = [p["parent"][name]["value"] for p in pairs]
         change = [p["change"][name]["value"] for p in pairs]
         p, c = _spread(parent), _spread(change)
+        allowed = metric["bound"] * abs(p["median"])
+        if sign * (p["median"] - c["median"]) > allowed:
+            verdict = "worse_past_bound"
+        elif (p["q3"] - p["q1"] > allowed
+              and min(sign * b for b in change) <= max(sign * a for a in parent)):
+            verdict = "unresolved"
+        else:
+            verdict = "no_regression"
         out[name] = {
             "parent": p,
             "change": c,
@@ -98,6 +117,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(pairs),
             "median_change_pct": 100.0 * (c["median"] / p["median"] - 1.0) if p["median"] else None,
             "beyond_parent_iqr": sign * (c["median"] - p["median"]) > p["q3"] - p["q1"],
+            "verdict": verdict,
         }
     return {"bad_runs": bad, "metrics": out}
 
@@ -111,8 +131,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     commit = _git("rev-parse", args.parent).decode().strip()
     out_path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -148,7 +167,7 @@ def main(argv=None) -> int:
         "usable_cpus": len(os.sched_getaffinity(0)),
         "command": "benchmarks/run.py --trace 0",
     })
-    summary = summarize(runs, better)
+    summary = summarize(runs, end_to_end)
     doc.setdefault("workloads", {})[args.workload] = {
         "seconds": args.seconds,
         "seeds": args.seeds,
@@ -158,7 +177,7 @@ def main(argv=None) -> int:
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, s in summary["metrics"].items():
         print(f"{name:12s} parent {s['parent']['median']:10.3f}  change "
-              f"{s['change']['median']:10.3f}  wins {s['wins']}/{s['pairs']}")
+              f"{s['change']['median']:10.3f}  wins {s['wins']}/{s['pairs']}  {s['verdict']}")
     for tree, flags in summary["bad_runs"].items():
         for what, seeds in flags.items():
             if seeds:

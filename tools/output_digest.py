@@ -8,9 +8,11 @@ It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
 and hashes six parts, printing each part's digest to stderr:
 
 * ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
-  per run the log-odds, the bank's fused mean (what the run summaries
-  read), the side beliefs and the fused estimate built on read of every
-  step, the failure string and the true slot.
+  per run its synthesised inputs (the observer states, the absolute and
+  relative truth, and each pair's bearings, heading and time), the
+  log-odds, the bank's fused mean (what the run summaries read), the side
+  beliefs and the fused estimate built on read of every step, the failure
+  string and the true slot.
 * ``points``: 50 random beliefs at n = 4 and n = 5 through ``points_for``
   for every sample-point kind; points and weights.
 * ``kinematics``: ``ct_transition`` on single states and on batches,
@@ -53,6 +55,7 @@ trees on one machine; no test stores a digest.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -84,6 +87,8 @@ def runs_digest(h) -> None:
                 for i in range(RUNS):
                     rec = simkit.simulate_run(cfg, simkit.run_seed(SEED, i), mode=mode)
                     h.update(f"{kind}.{case}.{mode}.{i}:{rec.failure}:{rec.true_slot}".encode())
+                    _feed(h, [dataclasses.astuple(o) for o in rec.observers], rec.target_abs,
+                          rec.truth_rel, [(p.y1, p.y2, p.heading, p.t) for p in rec.measurements])
                     for est in rec.estimates:
                         _feed(h, [est.log_odds], est.mean)
                         for b in (est.belief1, est.belief2, est.fused):
