@@ -276,66 +276,8 @@ def update(
     )
 
 
-# Moshier's Cephes ndtr/erf/erfc (as scipy.special.ndtr evaluates them):
-# the same rational approximations, coefficients, Horner order, branch points
-# and libm exp, so _ndtr is bit-identical to scipy.special.ndtr without
-# importing scipy. Only the branches _ndtr reaches are ported: _erf for
-# |x| < 1/sqrt(2) and _erfc for x >= 1/sqrt(2).
 _SQRT1_2 = math.sqrt(0.5)
-_MAXLOG = 7.09782712893383996843e2
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _erf(x: float) -> float:
-    """Cephes erf on |x| < 1: x T(x^2) / U(x^2)."""
-    z = x * x
-    t = (((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
-          + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z \
-        + 5.55923013010394962768e4
-    u = ((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z
-          + 4.59432382970980127987e3) * z + 2.26290000613890934246e4) * z \
-        + 4.92673942608635921086e4
-    return x * t / u
-
-
-def _erfc(x: float) -> float:
-    """Cephes erfc on x >= 0: exp(-x^2) P(x) / Q(x), R/S from x = 8 on."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        p = (((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
-                  + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
-                + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
-              + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x \
-            + 5.57535335369399327526e2
-        q = (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
-                 + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
-               + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
-             + 1.65666309194161350182e3) * x + 5.57535340817727675546e2
-    else:
-        p = ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
-               + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
-             + 7.40974269950448939160e0) * x + 2.97886665372100240670e0
-        q = (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
-               + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
-             + 9.60896809063285878198e0) * x + 3.36907645100081516050e0
-    return z * p / q
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal distribution function, bit-identical to scipy's ndtr."""
-    if a != a:
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
 
 
 def shifted_rayleigh_moments(u: float) -> tuple[float, float]:
@@ -343,11 +285,10 @@ def shifted_rayleigh_moments(u: float) -> tuple[float, float]:
     if u < -35.0:
         # far tail: the density degenerates to a Gamma(2) with rate |u|
         return -2.0 / u, 6.0 / (u * u)
-    # the standard normal density and distribution function, bit-identical
-    # to scipy.stats.norm's: phi through numpy's exp, which math.exp differs
-    # from in the last bit on some arguments, and Phi through the Cephes port
-    phi = float(np.exp(-(u * u) / 2.0)) / _SQRT_2PI
-    Phi = _ndtr(u)
+    # the standard normal density and distribution function; erfc keeps
+    # Phi's relative accuracy in the lower tail, where 1 + erf would cancel
+    phi = math.exp(-(u * u) / 2.0) / _SQRT_2PI
+    Phi = 0.5 * math.erfc(-u * _SQRT1_2)
     den = u * Phi + phi
     rho1 = ((1.0 + u * u) * Phi + u * phi) / den
     rho2 = ((u * u + 2.0) * phi + u * (3.0 + u * u) * Phi) / den

@@ -21,11 +21,13 @@ cancelled. The weights follow from the log-odds by two-term log-sum-exp
 normalization. Evidence therefore accumulates without bound: a side whose
 weight fell to e^-3000 stays that far behind, and one bad innovation on the
 surviving side cannot hand the weight back, as it would if the weights
-were kept as linear numbers that underflow and get clamped. The fused
-output is the weighted Gaussian mixture of the two sides. Its mean, the
-tracker's point estimate, comes with each step; its spread-of-means
-covariance is built the first time it is read. The side filters are never
-reset from either.
+were kept as linear numbers that underflow and get clamped. A stretch of
+bad innovations still can: the bank keeps weighing both sides, so a
+decided bank whose true-side filter goes astray for several steps hands
+the weight to the ghost. The fused output is the weighted Gaussian mixture
+of the two sides. Its mean, the tracker's point estimate, comes with each
+step; its spread-of-means covariance is built the first time it is read.
+The side filters are never reset from either.
 """
 
 from __future__ import annotations

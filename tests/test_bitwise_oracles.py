@@ -1,8 +1,5 @@
 """The single-state step's float rewrites against the numpy expressions they replaced.
 
-Also ``gaussfilt._ndtr``, the port of Cephes' ndtr, against
-``scipy.special.ndtr``, which evaluates the same approximations.
-
 ``srf_update``, the ``update`` epilogue, ``symmetrize``, ``lrtma.fuse``, the
 single-state ``cv_transition`` and the array branch of ``wrap_angle`` moved
 their elementwise work off numpy's per-call path and kept every dot and
@@ -21,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from towedtma import gaussfilt, kinematics, lrtma, sensing
 from towedtma.gaussfilt import (
@@ -361,31 +357,3 @@ class TestWrapAngle:
             assert math.isnan(sensing.wrap_angle(a))
             assert_same_bits(sensing.wrap_angle(a), old_wrap_angle(np.array([a]))[0])
 
-
-def _with_neighbours(edges):
-    """Each edge, its neighbouring floats and their negations."""
-    return [s * float(v) for e in edges
-            for v in (np.nextafter(e, 0.0), e, np.nextafter(e, math.inf)) for s in (1.0, -1.0)]
-
-
-def examples(values):
-    """One Hypothesis ``@example`` per value of ``a``."""
-    def decorate(test):
-        for a in values:
-            test = example(a=a)(test)
-        return test
-    return decorate
-
-
-# _ndtr's branch edges in a: 1 (the erf/erfc switch), sqrt(2) (erfc's x < 1
-# fallback to 1 - erf), 8 sqrt(2) (P/Q to R/S) and 37.677..., the first
-# float where erfc skips exp(-a^2/2) as underflowing
-NDTR_EDGES = _with_neighbours([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.67712072049519])
-
-
-class TestNdtr:
-    @given(a=st.sampled_from(NDTR_EDGES) | all_floats)
-    @examples(NDTR_EDGES + [0.0, -0.0])
-    @settings(max_examples=1000, deadline=None)
-    def test_matches_scipy_ndtr(self, a):
-        assert_same_bits(gaussfilt._ndtr(a), ndtr(a))

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -414,19 +415,39 @@ class TestSrfUpdate:
             assert rho1 == pytest.approx(m1 / den, rel=1e-9)
             assert rho2 == pytest.approx(m2 / den, rel=1e-9)
 
-    def test_moments_bitwise_match_scipy_stats_form(self):
-        from scipy.stats import norm
-
-        rng = np.random.default_rng(0)
-        args = np.concatenate([rng.normal(0.0, 8.0, 2000), [-35.0, -10.0, 0.0, 40.0]])
-        for u in args.tolist():
-            phi, Phi = norm.pdf(u), norm.cdf(u)
+    @staticmethod
+    def _moments_mp(u):
+        # the same closed form, evaluated with 50 significant digits
+        with mpmath.workdps(50):
+            u = mpmath.mpf(u)
+            phi = mpmath.npdf(u)
+            Phi = mpmath.ncdf(u)
             den = u * Phi + phi
-            want = (
-                float(((1.0 + u * u) * Phi + u * phi) / den),
-                float(((u * u + 2.0) * phi + u * (3.0 + u * u) * Phi) / den),
-            )
-            assert gaussfilt.shifted_rayleigh_moments(u) == want
+            rho1 = ((1 + u * u) * Phi + u * phi) / den
+            rho2 = ((u * u + 2) * phi + u * (3 + u * u) * Phi) / den
+            return rho1, rho2
+
+    # (lower, upper, max relative error): u * Phi + phi cancels for u < 0, so
+    # the closed form loses digits as u falls, down to the Gamma(2) branch
+    # below -35
+    MOMENT_BANDS = [
+        (0.0, 40.0, 1e-14),
+        (-10.0, 0.0, 1e-8),
+        (-20.0, -10.0, 1e-6),
+        (-35.0, -20.0, 1e-4),
+    ]
+
+    @pytest.mark.parametrize("lo, hi, rel", MOMENT_BANDS)
+    def test_moments_accuracy_against_mpmath(self, lo, hi, rel):
+        us = np.linspace(lo, hi, 301)
+        if lo < 0.0:
+            us = us[:-1]  # the band is [lo, hi) below zero
+        worst = 0.0
+        for u in us.tolist():
+            got = gaussfilt.shifted_rayleigh_moments(u)
+            for g, w in zip(got, self._moments_mp(u)):
+                worst = max(worst, float(abs((g - w) / w)))
+        assert worst <= rel
 
     def test_runtime_does_not_load_scipy(self):
         # scipy costs about 0.3 s of start-up; a lazy import would only move

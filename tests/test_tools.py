@@ -111,15 +111,29 @@ def test_bench_pairs_writes_every_run_then_fails_on_a_bad_one(tmp_path, monkeypa
     tarfile.open(fileobj=empty_tar, mode="w").close()
     real_run = subprocess.run
 
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "tracked.py").write_text("edited\n")
+    (tmp_path / "untracked.py").write_text("new\n")
+    ls_files = b"src/tracked.py\0deleted.py\0untracked.py\0"
+    cwds = []
+
     def fake_git(*args):
-        return {"rev-parse": b"0123abc\n", "archive": empty_tar.getvalue()}.get(args[0], b"")
+        return {"rev-parse": b"0123abc\n", "archive": empty_tar.getvalue(),
+                "ls-files": ls_files}.get(args[0], b"")
 
     def fake_subprocess_run(cmd, **kwargs):
         # run.py prints its log, then its result as the last line
         if cmd[0] == "tar":
             return real_run(cmd, **kwargs)
-        seed = int(cmd[cmd.index("--seed") + 1])
-        r = results[seed, "change" if kwargs["cwd"] == mod.ROOT else "parent"]
+        seed, cwd = int(cmd[cmd.index("--seed") + 1]), Path(kwargs["cwd"])
+        cwds.append(cwd)
+        tree = cwd.name.split("-")[1]  # bench-parent-* or bench-change-*
+        if tree == "change":
+            # the working tree as it stands, without the deleted file
+            assert sorted(str(p.relative_to(cwd)) for p in cwd.rglob("*.py")) == [
+                "src/tracked.py", "untracked.py"]
+            assert (cwd / "src" / "tracked.py").read_text() == "edited\n"
+        r = results[seed, tree]
         last = "Traceback: killed" if r["result"] is None else json.dumps(r["result"])
         return subprocess.CompletedProcess(cmd, r["exit_code"], stdout=f"log line\n{last}\n")
 
@@ -134,3 +148,5 @@ def test_bench_pairs_writes_every_run_then_fails_on_a_bad_one(tmp_path, monkeypa
     assert [r["exit_code"] for r in runs if r["result"] is None] == [1, 0]
     assert [r["result"] for r in runs] == [results[r["seed"], r["tree"]]["result"] for r in runs]
     assert doc["workloads"]["w"]["summary"]["metrics"]["runs_per_s"]["pairs"] == 3
+    assert len(cwds) == 10 and mod.ROOT not in cwds
+    assert {cwd.name.split("-")[1] for cwd in cwds} == {"parent", "change"}

@@ -6,8 +6,11 @@ Usage (from anywhere inside the repository):
         --workload mc-cv-light --seeds 201-210 --seconds 20
 
 The parent revision is exported with ``git archive`` into a temporary
-directory. For each seed the tool then runs ``benchmarks/run.py --trace 0``
-once on each tree, alternating which tree goes first, and writes
+directory, and the working tree into a sibling one: its tracked files as
+they stand, and its untracked files that git does not ignore. So both
+trees run from the same kind of location. For each seed the tool then runs
+``benchmarks/run.py --trace 0`` once on each tree, alternating which tree
+goes first, and writes
 ``BENCH_<label>.json`` at the repository root. The file records every
 run's exit code and last-line JSON with its seed, tree and order, the
 machine's core count (``os.cpu_count()``) and the cores this process may
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+
+
+def _export_working_tree(dest: Path) -> None:
+    """Copy the tracked files as they stand, and the untracked files that are
+    not ignored, into ``dest``."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split(b"\0")):
+        src, dst = ROOT / os.fsdecode(name), dest / os.fsdecode(name)
+        if not os.path.lexists(src):
+            continue  # tracked, but deleted in the working tree
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, dst, follow_symlinks=False)
 
 
 def _seeds(spec: str) -> list[int]:
@@ -141,9 +157,12 @@ def main(argv=None) -> int:
         return 2
 
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=_git("archive", commit), check=True)
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree:
+        subprocess.run(["tar", "-x", "-C", parent_tree], input=_git("archive", commit),
+                       check=True)
+        _export_working_tree(Path(change_tree))
+        trees = {"parent": Path(parent_tree), "change": Path(change_tree)}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for pos, tree in enumerate(order):

@@ -25,11 +25,11 @@ and hashes six parts, printing each part's digest to stderr:
   ``lrtma.fuse`` (weights 0, 1, 1/2 and random), with ``cv_transition`` on
   single states and one batch, and ``wrap_angle`` on an array of edge
   angles: odd multiples of pi and their neighbouring floats, signed zeros,
-  1e300, +/-inf and NaN, and ``shifted_rayleigh_moments`` at +/-0, at
-  +/-1, +/-sqrt(2), +/-8 sqrt(2) and +/-37.677 (the branch edges of the
-  normal distribution function it evaluates) and at -35 (the edge of its
-  Gamma(2) tail), each with its neighbouring floats. It reaches the
-  measurement layer directly, where the scenarios of ``runs`` may never go.
+  1e300, +/-inf and NaN, and ``shifted_rayleigh_moments`` at +/-0, at the
+  sample points +/-1, +/-sqrt(2), +/-8 sqrt(2) and +/-37.677 and at -35
+  (the edge of its Gamma(2) tail), each with its neighbouring floats. It
+  reaches the measurement layer directly, where the scenarios of ``runs``
+  may never go.
 * ``init``: ``lrtma.init_bank`` for CV and CT on fixed first bearings (0,
   +/-pi/2, +/-pi and their neighbouring floats) and 40 random ones, each
   with a random heading and observer, and on its mirrored pair (slots
@@ -157,12 +157,11 @@ def filters_digest(h) -> None:
     angles = np.concatenate([edges, -np.array(edges), rng.uniform(-50.0, 50.0, size=100)])
     with np.errstate(invalid="ignore"):
         _feed(h, sensing.wrap_angle(angles))
-    # the SRF range moments at the branch edges of the normal distribution
-    # function (erf/erfc, erfc's 1 - erf fallback, P/Q to R/S, underflow),
-    # where the scenarios rarely go, and at the Gamma(2) tail's edge -35
-    moment_edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 37.67712072049519]
-    moment_edges = moment_edges + [-e for e in moment_edges] + [-35.0]
-    args = [0.0, -0.0] + [v for e in moment_edges
+    # the SRF range moments at sample points where the scenarios rarely go,
+    # and at the Gamma(2) tail's edge -35
+    moment_points = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 37.67712072049519]
+    moment_points = moment_points + [-e for e in moment_points] + [-35.0]
+    args = [0.0, -0.0] + [v for e in moment_points
                           for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
     for u in args:
         _feed(h, gaussfilt.shifted_rayleigh_moments(float(u)))
