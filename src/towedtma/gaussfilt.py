@@ -107,11 +107,6 @@ BEARING = MeasurementModel(
 )
 
 
-# read-only 2x2 identity for the SRF's planar noise covariance
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
-
-
 def normal_log_pdf(resid: float, var: float) -> float:
     """Log density of a zero-mean scalar normal with variance ``var``."""
     return -0.5 * (resid * resid / var + math.log(2.0 * math.pi * var))
@@ -304,6 +299,45 @@ def srf_matched_noise(belief: GaussianBelief, noise_std: float) -> float:
     return noise_std**2 * float(m[0] ** 2 + m[1] ** 2 + P[0, 0] + P[1, 1])
 
 
+def srf_diagnostics(zhat: np.ndarray, V: np.ndarray, r2: float) -> tuple[float, float]:
+    """The SRF's predicted bearing and its linearised innovation variance.
+
+    The variance is the planar covariance V projected on the bearing's
+    tangent, over the squared predicted range r2.
+    """
+    pred = float(np.arctan2(zhat[0], zhat[1]))
+    tang = np.array([np.cos(pred), -np.sin(pred)])
+    return pred, float(tang @ V @ tang) / r2
+
+
+class SrfUpdateOutcome(UpdateOutcome):
+    """An SRF update's outcome whose ``pred_meas`` and ``innov_cov`` are
+    computed by :func:`srf_diagnostics` the first time either is read.
+
+    The filter bank reads only the posterior and the log-likelihood, so a
+    tracking run never builds them.
+    """
+
+    def __init__(self, posterior: GaussianBelief, log_likelihood: float,
+                 zhat: np.ndarray, V: tuple, r2: float) -> None:
+        self.posterior = posterior
+        self.log_likelihood = log_likelihood
+        self._diagnostic_inputs = (zhat, V, r2)
+
+    @functools.cached_property
+    def _diagnostics(self) -> tuple[float, float]:
+        zhat, V, r2 = self._diagnostic_inputs
+        return srf_diagnostics(zhat, np.array(V), r2)
+
+    @property
+    def pred_meas(self) -> float:
+        return self._diagnostics[0]
+
+    @property
+    def innov_cov(self) -> float:
+        return self._diagnostics[1]
+
+
 def srf_update(belief: GaussianBelief, y: float, noise_std: float) -> UpdateOutcome:
     """Shifted Rayleigh measurement update for a bearing.
 
@@ -314,23 +348,26 @@ def srf_update(belief: GaussianBelief, y: float, noise_std: float) -> UpdateOutc
     first two moments give the posterior by Gaussian moment matching. The
     reported log-likelihood is that of the bivariate normal density of the
     conditioned pseudo-measurement, which the filter bank consumes directly;
-    it stays finite where the density itself underflows.
+    it stays finite where the density itself underflows. The predicted
+    bearing and innovation variance are built on read (see
+    :class:`SrfUpdateOutcome`).
     """
     m, P = belief.mean, belief.cov
     zhat = m[:2]
-    S = P[:2, :2]
     r2 = float(zhat @ zhat)
     if r2 == 0.0:
         raise sensing.ZeroRangeError("SRF update undefined at zero predicted range")
     Rm = srf_matched_noise(belief, noise_std)
-    V = S + Rm * _EYE2
-    (v00, v01), (v10, v11) = V.tolist()
+    # V = S + Rm * I entry by entry, the operations numpy's broadcast makes
+    (s00, s01), (s10, s11) = P[:2, :2].tolist()
+    V = ((s00 + Rm * 1.0, s01 + Rm * 0.0), (s10 + Rm * 0.0, s11 + Rm * 1.0))
+    (v00, v01), (v10, v11) = V
     detV = v00 * v11 - v01 * v10
     if detV <= 0 or not math.isfinite(detV):
         raise FilterNumericsError("SRF planar covariance is not positive definite")
     Vi = np.array([[v11 / detV, -v01 / detV], [-v10 / detV, v00 / detV]])
 
-    b = np.array([np.sin(y), np.cos(y)])
+    b = np.array(kinematics.sin_cos(y))
     bVi = b @ Vi
     a = float(bVi @ b)
     # NaN below zero, as np.sqrt gives, where math.sqrt would raise
@@ -351,13 +388,4 @@ def srf_update(belief: GaussianBelief, y: float, noise_std: float) -> UpdateOutc
     quad = float(resid @ Vi @ resid)
     log_likelihood = -0.5 * (quad + math.log(detV)) - math.log(2.0 * math.pi)
 
-    pred = float(np.arctan2(zhat[0], zhat[1]))
-    tang = np.array([np.cos(pred), -np.sin(pred)])
-    innov_cov = float(tang @ V @ tang) / r2
-
-    return UpdateOutcome(
-        posterior=GaussianBelief(mean=mean, cov=cov),
-        pred_meas=pred,
-        innov_cov=innov_cov,
-        log_likelihood=log_likelihood,
-    )
+    return SrfUpdateOutcome(GaussianBelief(mean=mean, cov=cov), log_likelihood, zhat, V, r2)

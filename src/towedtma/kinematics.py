@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -122,6 +123,18 @@ def cv_transition(state: np.ndarray, T: float) -> np.ndarray:
     return out
 
 
+def sin_cos(x: float) -> tuple[float, float]:
+    """(sin x, cos x) of one angle as floats, from libm.
+
+    libm and numpy round these alike on the supported platforms (the tests
+    check), but math.sin and math.cos raise ValueError on +/-inf; there
+    numpy's NaN, and its invalid-value warning, are kept.
+    """
+    if math.isinf(x):
+        return float(np.sin(x)), float(np.cos(x))
+    return math.sin(x), math.cos(x)
+
+
 def _ct_coeffs(psi, T: float) -> tuple:
     """CT transition coefficients (a, b, cos(psi*T), sin(psi*T)).
 
@@ -132,12 +145,7 @@ def _ct_coeffs(psi, T: float) -> tuple:
     bit for bit where libm and numpy round sin/cos alike (the tests check).
     """
     if isinstance(psi, float):
-        x = psi * T
-        if math.isinf(x):
-            # math.cos raises ValueError here; keep numpy's NaN and warning
-            cs, sn = float(np.cos(x)), float(np.sin(x))
-        else:
-            cs, sn = math.cos(x), math.sin(x)
+        sn, cs = sin_cos(psi * T)
         if abs(psi) < PSI_EPS:
             return float(T), psi * T * T / 2.0, cs, sn
         return sn / psi, (1.0 - cs) / psi, cs, sn
@@ -254,6 +262,22 @@ def process_noise_cov(model: MotionModel) -> np.ndarray:
     Q5[4, 4] = model.q2 * T
     Q5.setflags(write=False)
     return Q5
+
+
+@functools.lru_cache(maxsize=32)
+def process_noise_root(model: MotionModel) -> Optional[np.ndarray]:
+    """Eigen square root Lq of the process noise, Lq Lq^T = Q; None if Q is zero.
+
+    An eigen root, not a Cholesky factor, since Q may be singular (a zero
+    noise block). Cached per model and returned read-only.
+    """
+    Q = process_noise_cov(model)
+    if not Q.any():
+        return None
+    w, V = np.linalg.eigh(Q)
+    Lq = V * np.sqrt(np.clip(w, 0.0, None))
+    Lq.setflags(write=False)
+    return Lq
 
 
 def process_jacobian(model: MotionModel, state: np.ndarray) -> np.ndarray:

@@ -111,7 +111,8 @@ class FilterBankState:
 
 def _polar_cov(th: float, rho: float, sigma_rho: float, sigma_ang: float) -> np.ndarray:
     """Linearized covariance of rho * (sin th, cos th) under polar spreads."""
-    J = np.array([[np.sin(th), rho * np.cos(th)], [np.cos(th), -rho * np.sin(th)]])
+    sn, cs = kinematics.sin_cos(th)
+    J = np.array([[sn, rho * cs], [cs, -rho * sn]])
     return J @ np.diag([sigma_rho**2, sigma_ang**2]) @ J.T
 
 
@@ -143,8 +144,8 @@ def init_side(
     n = model.dim
     mean = np.zeros(n)
     cov = np.zeros((n, n))
-    mean[0:2] = r * np.array([np.sin(b), np.cos(b)])
-    mean[2:4] = -s * np.array([np.sin(c), np.cos(c)]) - obs.vel
+    mean[0:2] = r * np.array(kinematics.sin_cos(b))
+    mean[2:4] = -s * np.array(kinematics.sin_cos(c)) - obs.vel
     mean[4:] = prior.sigma_psi * d_psi
     cov[0:2, 0:2] = _polar_cov(first_bearing, prior.r_bar, prior.sigma_r, prior.sigma_theta)
     cov[2:4, 2:4] = _polar_cov(first_bearing, prior.s_bar, prior.sigma_s, prior.sigma_c)
@@ -247,7 +248,7 @@ def side_step(
     u = kinematics.observer_input(obs_prev, obs_now, model, belief.mean)
     prior = gaussfilt.predict(belief, model, u, filter_kind)
     out = gaussfilt.update(prior, y, noise_std, filter_kind)
-    if not np.isfinite(out.posterior.mean).all():
+    if not all(map(math.isfinite, out.posterior.mean.tolist())):
         raise gaussfilt.FilterNumericsError("non-finite estimate")
     return out
 

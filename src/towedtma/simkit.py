@@ -297,31 +297,28 @@ def gen_target_track(
     track[0, 2:4] = vel0
     track[0, 4:] = cfg.true_turn_rate
 
-    Lq = None
-    if rng is not None:
-        Q = kinematics.process_noise_cov(model)
-        if np.any(Q):
-            # eigen square root: Q may be singular (e.g. a zero noise block)
-            w, V = np.linalg.eigh(Q)
-            Lq = V * np.sqrt(np.clip(w, 0.0, None))
-            # one block is the same stream as one draw per step
-            noise = rng.standard_normal((cfg.horizon, n))
+    Lq = None if rng is None else kinematics.process_noise_root(model)
+    if Lq is None:
+        for k in range(cfg.horizon):
+            track[k + 1] = kinematics.transition(model, track[k])
+        return track
+    # one block is the same stream as one draw per step, and the stacked
+    # matmul gives each row the bits of Lq @ noise[k] (noise @ Lq.T does not)
+    noise = rng.standard_normal((cfg.horizon, n))
+    incr = np.matmul(Lq, noise[..., None])[..., 0]
     for k in range(cfg.horizon):
-        nxt = kinematics.transition(model, track[k])
-        if Lq is not None:
-            nxt = nxt + Lq @ noise[k]
-        track[k + 1] = nxt
+        np.add(kinematics.transition(model, track[k]), incr[k], out=track[k + 1])
     return track
 
 
 def relative_truth(target: np.ndarray, observers: list[ObserverState]) -> np.ndarray:
-    """Relative (target minus observer) states at every sample."""
+    """Relative (target minus observer) states at every sample.
+
+    Row k subtracts ``observers[k]``'s (x, y, vx, vy); rows past the last
+    observer, and a CT state's turn rate, are the target's own.
+    """
     rel = target.copy()
-    for k, o in enumerate(observers):
-        rel[k, 0] -= o.x
-        rel[k, 1] -= o.y
-        rel[k, 2] -= o.vx
-        rel[k, 3] -= o.vy
+    rel[: len(observers), :4] -= [(o.x, o.y, o.vx, o.vy) for o in observers]
     return rel
 
 
@@ -521,6 +518,12 @@ def _close_pool() -> None:
 atexit.register(_close_pool)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_monte_carlo(
     cfg: ScenarioConfig,
     mode: str = RESOLVED,
@@ -530,13 +533,15 @@ def run_monte_carlo(
 
     The result is a pure function of (config, master seed); the worker
     count only changes how the runs are scheduled. The pool never holds
-    more processes than the machine has CPUs. It is started by the first
-    pooled call, reused by later calls with the same worker count and
-    lives until the interpreter exits; its workers are forked then, so
-    they do not see later changes to the parent's modules. Pooled calls
-    from several threads run one at a time.
+    more processes than there are CPUs this process may run on: its
+    affinity set, which ``os.cpu_count()`` over-counts under a restricted
+    affinity, or that count where the platform has no affinity call. It is
+    started by the first pooled call, reused by later calls with the same
+    worker count and lives until the interpreter exits; its workers are
+    forked then, so they do not see later changes to the parent's modules.
+    Pooled calls from several threads run one at a time.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, _usable_cpus())
     run = functools.partial(_run_summary, cfg, mode)
     if workers <= 1 or cfg.n_runs < 4:
         return list(map(run, range(cfg.n_runs)))

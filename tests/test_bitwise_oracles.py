@@ -1,9 +1,11 @@
 """The single-state step's float rewrites against the numpy expressions they replaced.
 
-``srf_update``, the ``update`` epilogue, ``symmetrize``, ``lrtma.fuse``, the
-single-state ``cv_transition`` and the array branch of ``wrap_angle`` moved
-their elementwise work off numpy's per-call path and kept every dot and
-matrix product as the same numpy call in the same association order. Each
+``srf_update``, the ``update`` epilogue, ``symmetrize``, ``lrtma.fuse``,
+``lrtma.init_side``, the single-state ``cv_transition`` and the array
+branch of ``wrap_angle`` moved their elementwise work off numpy's per-call
+path and kept every dot and matrix product as the same numpy call in the
+same association order; ``kinematics.sin_cos`` takes one angle's sine and
+cosine from libm, which must round them as numpy does. Each
 ``old_*`` function below is the earlier expression, verbatim; the tests
 require the same bits from both, signs of zeros and NaN payloads included.
 One exception: where two NaNs meet in one operation of ``cv_transition``,
@@ -36,6 +38,14 @@ from towedtma.gaussfilt import (
 )
 
 TWO_PI = sensing.TWO_PI
+
+# random angles, +/-pi, odd multiples of pi and their neighbouring floats,
+# signed zeros, a huge angle and the non-finite values
+_ODD_PI = [k * math.pi for k in (1, 3, 5, 7, 101, 1e6 + 1)]
+EDGE_ANGLES = [0.0, 1e300, math.inf, math.nan] + [
+    v for a in _ODD_PI for v in (a, np.nextafter(a, 0.0), np.nextafter(a, math.inf))
+] + [TWO_PI, 2.5 * TWO_PI]
+EDGE_ANGLES = [float(s * a) for a in EDGE_ANGLES for s in (1.0, -1.0)]
 
 
 def old_wrap_angle(a):
@@ -128,6 +138,29 @@ def old_srf_update(belief, y, noise_std):
         innov_cov=innov_cov,
         log_likelihood=log_likelihood,
     )
+
+
+def old_polar_cov(th, rho, sigma_rho, sigma_ang):
+    J = np.array([[np.sin(th), rho * np.cos(th)], [np.cos(th), -rho * np.sin(th)]])
+    return J @ np.diag([sigma_rho**2, sigma_ang**2]) @ J.T
+
+
+def old_init_side(first_bearing, prior, obs, model, draw):
+    d_r, d_th, d_s, d_c, d_psi = draw
+    b = first_bearing + prior.sigma_theta * d_th
+    c = b + prior.sigma_c * d_c
+    r = prior.r_bar + prior.sigma_r * d_r
+    s = prior.s_bar + prior.sigma_s * d_s
+    n = model.dim
+    mean = np.zeros(n)
+    cov = np.zeros((n, n))
+    mean[0:2] = r * np.array([np.sin(b), np.cos(b)])
+    mean[2:4] = -s * np.array([np.sin(c), np.cos(c)]) - obs.vel
+    mean[4:] = prior.sigma_psi * d_psi
+    cov[0:2, 0:2] = old_polar_cov(first_bearing, prior.r_bar, prior.sigma_r, prior.sigma_theta)
+    cov[2:4, 2:4] = old_polar_cov(first_bearing, prior.s_bar, prior.sigma_s, prior.sigma_c)
+    cov[4:, 4:] = prior.sigma_psi**2
+    return GaussianBelief(mean=mean, cov=cov)
 
 
 def old_fuse(b1, b2, w):
@@ -226,7 +259,70 @@ class TestMeasurementUpdate:
                                     outcome(old_update, b, y, 0.0175, kind))
 
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_srf_update_at_edge_bearings(self, n):
+        # math.sin and math.cos raise on +/-inf where numpy gives NaN. A
+        # non-finite bearing makes NaNs meet NaNs, whose sign and payload
+        # the old expression's numpy loops and the rewrite pick differently
+        for seed in range(5):
+            b = belief_from_seed(seed, n)
+            for y in EDGE_ANGLES + [5e-324, -5e-324]:
+                want = outcome(old_srf_update, b, y, 0.0175)
+                for got in (outcome(gaussfilt.srf_update, b, y, 0.0175),
+                            outcome(gaussfilt.update, b, y, 0.0175, gaussfilt.SRF)):
+                    if math.isfinite(y):
+                        assert_same_outcome(got, want)
+                        continue
+                    assert type(got) is type(want) is tuple
+                    for g, w in zip(got, want):
+                        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+                        nan = np.isnan(w)
+                        assert np.isnan(g[nan]).all()
+                        assert_same_bits(g[~nan], w[~nan])
+
+    def test_srf_diagnostics_are_built_once_on_read(self, monkeypatch):
+        b = belief_from_seed(3, 4)
+        calls = []
+        real = gaussfilt.srf_diagnostics
+        monkeypatch.setattr(gaussfilt, "srf_diagnostics",
+                            lambda *args: calls.append(args) or real(*args))
+        out = gaussfilt.srf_update(b, 0.3, 0.0175)
+        assert calls == []
+        want = old_srf_update(b, 0.3, 0.0175)
+        assert_same_bits([out.innov_cov, out.pred_meas, out.innov_cov],
+                         [want.innov_cov, want.pred_meas, want.innov_cov])
+        assert len(calls) == 1
+
+
 all_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestSinCos:
+    @given(x=st.sampled_from(EDGE_ANGLES) | all_floats)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_numpy(self, x):
+        with np.errstate(invalid="ignore"):
+            want = [np.sin(x), np.cos(x)]
+            got = kinematics.sin_cos(x)
+        assert all(type(v) is float for v in got)
+        assert_same_bits(got, want)
+
+
+class TestInitSide:
+    @pytest.mark.parametrize("model_kind", [kinematics.CV, kinematics.CT])
+    @given(y=st.sampled_from(EDGE_ANGLES) | st.floats(-math.pi, math.pi),
+           draw=st.lists(st.floats(-4.0, 4.0), min_size=5, max_size=5),
+           vel=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_old_expression(self, model_kind, y, draw, vel):
+        prior = lrtma.InitPrior(2.0, 0.026, 0.06, 0.9, 5.0, 0.12, 0.06)
+        obs = kinematics.ObserverState(0.1, -0.2, *vel, heading=0.0)
+        model = kinematics.MotionModel(model_kind, 1.0, 1e-6, 1e-7)
+        with np.errstate(invalid="ignore"):
+            got = lrtma.init_side(y, prior, obs, model, draw)
+            want = old_init_side(y, prior, obs, model, draw)
+        assert_same_bits(got.mean, want.mean)
+        assert_same_bits(got.cov, want.cov)
 
 
 class TestSymmetrize:
@@ -312,13 +408,6 @@ class TestCvTransition:
         assert_same_bits_unless_nans_meet(single, old, meet)
 
 
-# random angles, +/-pi, odd multiples of pi and their neighbouring floats,
-# signed zeros, a huge angle and the non-finite values
-_ODD_PI = [k * math.pi for k in (1, 3, 5, 7, 101, 1e6 + 1)]
-EDGE_ANGLES = [0.0, 1e300, math.inf, math.nan] + [
-    v for a in _ODD_PI for v in (a, np.nextafter(a, 0.0), np.nextafter(a, math.inf))
-] + [TWO_PI, 2.5 * TWO_PI]
-EDGE_ANGLES = [float(s * a) for a in EDGE_ANGLES for s in (1.0, -1.0)]
 
 
 class TestWrapAngle:

@@ -553,6 +553,25 @@ class TestSideStep:
         with pytest.raises(gaussfilt.FilterNumericsError, match="non-finite"):
             lrtma.side_step(bank.belief1, pair.y1, o1, o2, model, kind, sigma)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+    @pytest.mark.parametrize("model_kind", [CV, CT])
+    def test_side_step_checks_every_mean_component(self, monkeypatch, model_kind, value):
+        bank, pair, o1, o2, model, sigma = one_step_inputs(model_kind)
+        real = gaussfilt.update
+        for i in range(model.dim):
+            def poisoned(*args, **kwargs):
+                out = real(*args, **kwargs)
+                out.posterior.mean[i] = value
+                return out
+
+            monkeypatch.setattr(gaussfilt, "update", poisoned)
+            if math.isfinite(value):
+                out = lrtma.side_step(bank.belief1, pair.y1, o1, o2, model, "ekf", sigma)
+                assert out.posterior.mean[i] == value
+                continue
+            with pytest.raises(gaussfilt.FilterNumericsError, match="^non-finite estimate$"):
+                lrtma.side_step(bank.belief1, pair.y1, o1, o2, model, "ekf", sigma)
+
     @pytest.mark.parametrize("psi", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("kind", ["ekf", "ckf", "srf"])
     def test_non_finite_turn_rate_is_a_filter_failure(self, kind, psi):

@@ -181,23 +181,55 @@ class TestTargetTrack:
         noisy = gen_target_track(cfg, np.random.default_rng(0))
         assert not np.allclose(nominal, noisy)
 
+    @pytest.mark.parametrize("T, horizon", [(1.0, 30), (0.5, 60)])
+    @pytest.mark.parametrize("noise", ["default", "zero"])
     @pytest.mark.parametrize("case", [CV, CT])
-    def test_noise_block_is_the_per_step_stream(self, case):
-        # the truth draws its noise as one (horizon, n) block; that must be
-        # the stream of one standard_normal(n) call per step, bit for bit,
-        # and leave the generator where the per-step loop leaves it
-        cfg = ScenarioConfig(model_kind=case)
+    def test_noise_block_is_the_per_step_stream(self, case, noise, T, horizon):
+        # the truth draws its noise as one (horizon, n) block and takes every
+        # increment from one stacked matmul; that must be the stream of one
+        # standard_normal(n) call per step times the eigen root, bit for
+        # bit, and leave the generator where the per-step loop leaves it.
+        # Zero process noise draws nothing.
+        cfg = ScenarioConfig(model_kind=case, T=T, horizon=horizon)
+        if noise == "zero":
+            cfg = dataclasses.replace(cfg, q1=0.0, q2=0.0)
         model = cfg.motion_model()
         rng_block, rng_loop = np.random.default_rng(8), np.random.default_rng(8)
         track = gen_target_track(cfg, rng_block)
-        w, V = np.linalg.eigh(kinematics.process_noise_cov(model))
+        Q = kinematics.process_noise_cov(model)
+        w, V = np.linalg.eigh(Q)
         Lq = V * np.sqrt(np.clip(w, 0.0, None))
         want = [gen_target_track(cfg)[0]]
         for _ in range(cfg.horizon):
             nxt = kinematics.transition(model, want[-1])
-            want.append(nxt + Lq @ rng_loop.standard_normal(model.dim))
-        assert np.array_equal(track, np.array(want))
+            if Q.any():
+                nxt = nxt + Lq @ rng_loop.standard_normal(model.dim)
+            want.append(nxt)
+        assert np.array_equal(np.array(want).view(np.uint64), track.view(np.uint64))
+        if noise == "zero":
+            assert np.array_equal(track, gen_target_track(cfg))
+            assert rng_block.bit_generator.state == np.random.default_rng(8).bit_generator.state
         assert rng_block.standard_normal() == rng_loop.standard_normal()
+
+    def test_noise_root_is_cached_and_read_only(self):
+        model = ScenarioConfig(model_kind=CT).motion_model()
+        Lq = kinematics.process_noise_root(model)
+        assert kinematics.process_noise_root(model) is Lq
+        assert not Lq.flags.writeable
+        np.testing.assert_allclose(Lq @ Lq.T, kinematics.process_noise_cov(model), atol=1e-18)
+        zero = dataclasses.replace(model, q1=0.0, q2=0.0)
+        assert kinematics.process_noise_root(zero) is None
+
+    def test_relative_truth_leaves_rows_past_the_observers(self):
+        cfg = ScenarioConfig(model_kind=CT)
+        obs = gen_observer_track(cfg)[:10]
+        tgt = gen_target_track(cfg, np.random.default_rng(2))
+        rel = relative_truth(tgt, obs)
+        assert np.array_equal(rel[10:], tgt[10:])
+        assert np.array_equal(rel[:10, 4], tgt[:10, 4])
+        want = [[t - o for t, o in zip(row[:4], (o.x, o.y, o.vx, o.vy))]
+                for row, o in zip(tgt.tolist(), obs)]
+        assert np.array_equal(rel[:10, :4].view(np.uint64), np.array(want).view(np.uint64))
 
     def test_truth_self_consistency(self):
         cfg = ScenarioConfig()
@@ -444,6 +476,21 @@ class TestMonteCarlo:
         assert [s.failure for sums in got for s in sums] == [None] * 2 * len(cfgs)
         assert [_summary_bytes(sums) for sums in got] == want
 
+    @pytest.mark.parametrize("case", [CV, CT])
+    def test_engine_never_builds_the_srf_diagnostics(self, monkeypatch, case):
+        # the bank reads an SRF update's posterior and log-likelihood only;
+        # its predicted bearing and innovation variance are built on read
+        cfg = ScenarioConfig(filter_kind="srf", model_kind=case, n_runs=3)
+        want = [_summary_bytes(run_monte_carlo(cfg, mode)) for mode in simkit.MODES]
+
+        def no_diagnostics(*args):
+            raise gaussfilt.FilterNumericsError("srf_diagnostics called")
+
+        monkeypatch.setattr(gaussfilt, "srf_diagnostics", no_diagnostics)
+        got = [run_monte_carlo(cfg, mode) for mode in simkit.MODES]
+        assert [s.failure for sums in got for s in sums] == [None] * 2 * cfg.n_runs
+        assert [_summary_bytes(sums) for sums in got] == want
+
     def test_serial_run_imports_no_process_pool(self, tmp_path):
         code = (
             "import sys\n"
@@ -465,23 +512,36 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="^n_runs: "):
             run_monte_carlo(ScenarioConfig(n_runs=0))
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        # the cap is the affinity set, which cpu_count over-counts
         log = []
         monkeypatch.setattr(simkit, "_POOL", None)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(log))
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
         serial = run_monte_carlo(cfg)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
         pooled = run_monte_carlo(cfg, workers=64)
+        assert log == [("start", 3)]
+        assert _summary_bytes(serial) == _summary_bytes(pooled)
+        # another worker count joins the old pool before starting its own
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2}, raising=False)
+        run_monte_carlo(cfg, workers=64)
+        assert log == [("start", 3), ("shutdown", True), ("start", 2)]
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # where the platform has no affinity call
+        log = []
+        monkeypatch.setattr(simkit, "_POOL", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(log))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
+        run_monte_carlo(cfg, workers=64)
         assert log == [("start", 3)]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert len(run_monte_carlo(cfg, workers=64)) == cfg.n_runs
         assert log == [("start", 3)]
-        assert _summary_bytes(serial) == _summary_bytes(pooled)
-        # another worker count joins the old pool before starting its own
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        run_monte_carlo(cfg, workers=64)
-        assert log == [("start", 3), ("shutdown", True), ("start", 2)]
 
     @pytest.mark.parametrize(
         "n_runs, sizes",
@@ -491,7 +551,7 @@ class TestMonteCarlo:
         pool = _inline_pool([])
         monkeypatch.setattr(simkit, "_POOL", None)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(simkit, "_run_summary", lambda cfg, mode, index: index)
         assert run_monte_carlo(ScenarioConfig(n_runs=n_runs), workers=2) == list(range(n_runs))
         assert pool.sizes == sizes
@@ -501,7 +561,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(simkit, "_POOL", None)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _inline_pool(log, broken_chunk=1))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = ScenarioConfig(filter_kind="ekf", n_runs=8)
         with pytest.raises(BrokenProcessPool):
             run_monte_carlo(cfg, workers=2)
@@ -605,7 +665,7 @@ def _inline_pool(log: list, broken_chunk: int = -1):
 def fresh_pool(monkeypatch):
     """No cached pool to start with; the pool the test starts is joined at its end."""
     monkeypatch.setattr(simkit, "_POOL", None)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     yield
     simkit._close_pool()
 
@@ -654,7 +714,7 @@ class TestWorkerPool:
         code = (
             "import multiprocessing, os\n"
             "from towedtma import simkit\n"
-            "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "simkit.run_monte_carlo(simkit.ScenarioConfig(n_runs=4), workers=2)\n"
             "print(*(p.pid for p in multiprocessing.active_children()))\n"
         )

@@ -23,15 +23,82 @@ def test_output_digest_prints_every_part_and_a_total():
     )
     assert proc.returncode == 0, proc.stderr
     parts = dict(re.findall(r"^(\w+): ([0-9a-f]{64})$", proc.stderr, re.MULTILINE))
-    assert set(parts) == {"runs", "points", "kinematics", "filters", "init", "files"}
+    assert set(parts) == {"runs", "points", "kinematics", "filters", "truth", "init", "files"}
     assert re.fullmatch(r"[0-9a-f]{64}", proc.stdout.strip().splitlines()[-1])
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _tar(files: dict) -> bytes:
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for name, text in files.items():
+            data = text.encode()
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("differs", [None, ("_digest_tree.py", "tree", "files")])
+def test_output_digest_against_runs_both_tools_on_both_trees(tmp_path, monkeypatch, capsys,
+                                                             differs):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    digest = _load_tool("output_digest")
+    import bench_pairs
+
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "output_digest.py").write_text("this tree's tool\n")
+    (tmp_path / "src.py").write_text("edited\n")
+    archive = _tar({"tools/output_digest.py": "rev's tool\n", "src.py": "old\n"})
+
+    def fake_git(*args):
+        return {"rev-parse": b"0123abcdef\n", "archive": archive,
+                "ls-files": b"tools/output_digest.py\0src.py\0"}[args[0]]
+
+    real_run = subprocess.run
+    runs = []
+
+    def fake_subprocess_run(cmd, **kwargs):
+        if cmd[0] == "tar":
+            return real_run(cmd, **kwargs)
+        script, tree = Path(cmd[1]), Path(kwargs["cwd"])
+        side = tree.name.split("-")[1]  # digest-rev-* or digest-tree-*
+        assert cmd[0] == sys.executable and script.parent == tree / "tools"
+        assert (tree / "src.py").read_text() == {"rev": "old\n", "tree": "edited\n"}[side]
+        # each copy is its own tree's tool, in both trees
+        tool = {"_digest_rev.py": "rev's tool\n", "_digest_tree.py": "this tree's tool\n"}
+        assert script.read_text() == tool[script.name]
+        runs.append((script.name, side))
+        parts = {"runs": "1" * 64, "files": "2" * 64}
+        if differs and (script.name, side) == differs[:2]:
+            parts[differs[2]] = "3" * 64
+        stderr = "".join(f"{k}: {v}\n" for k, v in parts.items())
+        return subprocess.CompletedProcess(cmd, 0, stdout="4" * 64 + "\n", stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", fake_git)
+    monkeypatch.setattr(subprocess, "run", fake_subprocess_run)
+    assert digest.main(["--against", "HEAD~"]) == (1 if differs else 0)
+    assert runs == [("_digest_rev.py", "rev"), ("_digest_rev.py", "tree"),
+                    ("_digest_tree.py", "rev"), ("_digest_tree.py", "tree")]
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "HEAD~'s tool: HEAD~ (0123abcdef) | working tree"
+    assert f"  runs       {'1' * 16}  {'1' * 16}  same" in out.splitlines()
+    if differs:
+        assert f"  files      {'2' * 16}  {'3' * 16}  DIFFERS" in out.splitlines()
+        assert err.splitlines() == ["differs: this tree's tool: files"]
+    else:
+        assert out.count("same") == 6 and "DIFFERS" not in out
+
+
+def _bench_pairs():
+    return _load_tool("bench_pairs")
 
 
 END_TO_END = [{"name": "runs_per_s", "better": "higher", "bound": 0.05},

@@ -4,8 +4,12 @@ Run it on two trees and compare the last line:
 
     python3 tools/output_digest.py
 
+or let it compare a revision with the working tree:
+
+    python3 tools/output_digest.py --against HEAD~
+
 It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
-and hashes six parts, printing each part's digest to stderr:
+and hashes seven parts, printing each part's digest to stderr:
 
 * ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
   per run its synthesised inputs (the observer states, the absolute and
@@ -29,11 +33,20 @@ and hashes six parts, printing each part's digest to stderr:
   sample points +/-1, +/-sqrt(2), +/-8 sqrt(2) and +/-37.677 and at -35
   (the edge of its Gamma(2) tail), each with its neighbouring floats. It
   reaches the measurement layer directly, where the scenarios of ``runs``
-  may never go.
+  may never go. Ten of those beliefs also go through ``update`` (every
+  kind) and ``srf_update`` at edge bearings: +/-0, +/-pi and their
+  neighbouring floats, the smallest subnormal, +/-1e300, +/-inf and NaN;
+  where a call raises, the name of the exception's class is hashed.
+* ``truth``: ``simkit.gen_target_track`` for CV and CT at T = 0.5 and 1,
+  with the default and with zero process noise, each followed by the
+  generator's next draw (zero noise must draw nothing); and
+  ``relative_truth`` of each track with every observer and with the first
+  half of them (the later rows stay the target's).
 * ``init``: ``lrtma.init_bank`` for CV and CT on fixed first bearings (0,
-  +/-pi/2, +/-pi and their neighbouring floats) and 40 random ones, each
-  with a random heading and observer, and on its mirrored pair (slots
-  swapped, every angle negated, the observer reflected across north).
+  +/-pi/2, +/-pi and their neighbouring floats), 40 random ones and +/-inf
+  and NaN, each with a random heading and observer, and on its mirrored
+  pair (slots swapped, every angle negated, the observer reflected across
+  north).
 * ``files``: the byte-reproducible files of ``towedtma montecarlo
   --filter all --case all --mode all --runs 20`` (metric series and
   ``summary.json``) and of ``towedtma track --case cv`` / ``--case ct``,
@@ -48,17 +61,29 @@ and hashes six parts, printing each part's digest to stderr:
   whether ``rel_exec_time`` is null. It hashes ``report.json`` with its
   ``timings`` rows cut to that same row layout.
 
+``--against REV`` exports REV with ``git archive`` and the working tree
+(as ``tools/bench_pairs.py`` does) into sibling temporary directories, and
+runs REV's copy of this tool and the working tree's copy on each tree. It
+prints each tool's digests on the two trees side by side and exits 1,
+naming the tool and part, when a tool fails or its digests differ between
+the trees. REV's tool shows that the outputs it knew are unchanged; this
+tree's tool covers what was added since.
+
 Digests depend on the platform's floating-point libraries, so compare two
 trees on one machine; no test stores a digest.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import re
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -146,6 +171,7 @@ def filters_digest(h) -> None:
                 fused = lrtma.fuse(prev, b, (w, 1.0 - w))
                 _feed(h, fused.mean, fused.cov)
             prev = b
+    _edge_bearing_updates(h, rng)
     states = rng.normal(size=(100, 4))
     for T in (0.5, 1.0, 2.0):
         _feed(h, kinematics.cv_transition(states, T))
@@ -167,26 +193,75 @@ def filters_digest(h) -> None:
         _feed(h, gaussfilt.shifted_rayleigh_moments(float(u)))
 
 
+def _edge_bearings() -> list:
+    edges = [0.0, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0),
+             np.nextafter(0.0, 1.0), 1e300, np.inf]
+    return edges + [-y for y in edges] + [np.nan]
+
+
+def _feed_outcome(h, fn, *args) -> None:
+    """An update's posterior and reported fields, or its exception's class name."""
+    try:
+        out = fn(*args)
+        _feed(h, out.posterior.mean, out.posterior.cov,
+              [out.pred_meas, out.innov_cov, out.log_likelihood])
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        h.update(type(exc).__name__.encode())
+
+
+def _edge_bearing_updates(h, rng) -> None:
+    # update (every kind) and srf_update at bearings a scenario never draws
+    with np.errstate(all="ignore"):
+        for n in (4, 5):
+            for _ in range(5):
+                A = rng.normal(size=(n, n))
+                b = gaussfilt.GaussianBelief(10.0 * rng.normal(size=n),
+                                             A @ A.T + 0.1 * np.eye(n))
+                sigma = rng.uniform(1e-3, 0.1)
+                for y in _edge_bearings():
+                    for kind in gaussfilt.FILTER_KINDS:
+                        _feed_outcome(h, gaussfilt.update, b, y, sigma, kind)
+                    _feed_outcome(h, gaussfilt.srf_update, b, y, sigma)
+
+
+def truth_digest(h) -> None:
+    for case in kinematics.MODEL_KINDS:
+        for T in (0.5, 1.0):
+            base = simkit.ScenarioConfig(model_kind=case, T=T, horizon=round(30 / T))
+            for cfg in (base, dataclasses.replace(base, q1=0.0, q2=0.0)):
+                rng = np.random.default_rng(SEED)
+                target = simkit.gen_target_track(cfg, rng)
+                # the generator's next draw: a zero-noise truth draws nothing
+                _feed(h, target, [rng.standard_normal()], simkit.gen_target_track(cfg))
+                observers = simkit.gen_observer_track(cfg)
+                _feed(h, simkit.relative_truth(target, observers),
+                      simkit.relative_truth(target, observers[: len(observers) // 2]))
+
+
 def init_digest(h) -> None:
     rng = np.random.default_rng(SEED)
     prior = simkit.ScenarioConfig().prior()
     edges = [0.0, np.pi / 2, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0)]
     bearings = edges + [-y for y in edges] + list(rng.uniform(-np.pi, np.pi, size=40))
-    for case in kinematics.MODEL_KINDS:
-        model = simkit.ScenarioConfig(model_kind=case).motion_model()
-        for y1 in bearings:
-            x, y, vx, vy = rng.normal(size=4)
-            hd = rng.uniform(-np.pi, np.pi)
-            y2 = sensing.wrap_angle(2.0 * hd - y1)
-            sides = (
-                (sensing.BearingPair(y1, y2, hd, 1), kinematics.ObserverState(x, y, vx, vy, hd)),
-                (sensing.BearingPair(-y2, -y1, -hd, 1),
-                 kinematics.ObserverState(-x, y, -vx, vy, -hd)),
-            )
-            for pair, obs in sides:
-                bank = lrtma.init_bank(pair, prior, obs, model)
-                for b in (bank.belief1, bank.belief2):
-                    _feed(h, b.mean, b.cov)
+    bearings += [np.inf, -np.inf, np.nan]
+    # a non-finite first bearing gives NaN beliefs, with numpy's warnings
+    with np.errstate(invalid="ignore"):
+        for case in kinematics.MODEL_KINDS:
+            model = simkit.ScenarioConfig(model_kind=case).motion_model()
+            for y1 in bearings:
+                x, y, vx, vy = rng.normal(size=4)
+                hd = rng.uniform(-np.pi, np.pi)
+                y2 = sensing.wrap_angle(2.0 * hd - y1)
+                sides = (
+                    (sensing.BearingPair(y1, y2, hd, 1),
+                     kinematics.ObserverState(x, y, vx, vy, hd)),
+                    (sensing.BearingPair(-y2, -y1, -hd, 1),
+                     kinematics.ObserverState(-x, y, -vx, vy, -hd)),
+                )
+                for pair, obs in sides:
+                    bank = lrtma.init_bank(pair, prior, obs, model)
+                    for b in (bank.belief1, bank.belief2):
+                        _feed(h, b.mean, b.cov)
 
 
 def _refuse_constant(name: str):
@@ -230,17 +305,79 @@ def files_digest(h) -> None:
         h.update(json.dumps(report).encode())
 
 
-def main() -> int:
+PARTS = (("runs", runs_digest), ("points", points_digest), ("kinematics", kinematics_digest),
+         ("filters", filters_digest), ("truth", truth_digest), ("init", init_digest),
+         ("files", files_digest))
+
+
+def digest_all() -> int:
     total = hashlib.sha256()
-    for name, part in (("runs", runs_digest), ("points", points_digest),
-                       ("kinematics", kinematics_digest), ("filters", filters_digest),
-                       ("init", init_digest), ("files", files_digest)):
+    for name, part in PARTS:
         h = hashlib.sha256()
         part(h)
         print(f"{name}: {h.hexdigest()}", file=sys.stderr)
         total.update(h.digest())
     print(total.hexdigest())
     return 0
+
+
+def _run_tool(tree: Path, tool: str) -> dict[str, str] | None:
+    """The digests a copy of the tool in ``tree/tools`` prints, the total
+    under ``total``; None, after its stderr, if it fails."""
+    proc = subprocess.run([sys.executable, str(tree / "tools" / tool)], cwd=tree,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        print(f"{tool} on {tree.name} exited with code {proc.returncode}:\n{proc.stderr}",
+              file=sys.stderr)
+        return None
+    digests = dict(re.findall(r"^(\w+): ([0-9a-f]{64})$", proc.stderr, re.MULTILINE))
+    digests["total"] = lines[-1]
+    return digests
+
+
+def against(rev: str) -> int:
+    """Run ``rev``'s tool and this tree's tool on ``rev`` and on the working
+    tree, print each tool's digests side by side, and return 1 if a tool
+    fails or its digests differ between the trees."""
+    import bench_pairs  # the sibling tool, on sys.path as this script's directory
+
+    commit = bench_pairs._git("rev-parse", rev).decode().strip()
+    with tempfile.TemporaryDirectory(prefix="digest-rev-") as rev_dir, \
+            tempfile.TemporaryDirectory(prefix="digest-tree-") as tree_dir:
+        trees = (Path(rev_dir), Path(tree_dir))
+        subprocess.run(["tar", "-x", "-C", rev_dir], input=bench_pairs._git("archive", commit),
+                       check=True)
+        bench_pairs._export_working_tree(trees[1])
+        # each tool hashes the package of the tree it sits in
+        tools = {f"_digest_{name}.py": tree / "tools" / "output_digest.py"
+                 for name, tree in zip(("rev", "tree"), trees)}
+        for tree in trees:
+            for name, src in tools.items():
+                shutil.copyfile(src, tree / "tools" / name)
+        bad = []
+        for name, label in zip(tools, (f"{rev}'s tool", "this tree's tool")):
+            runs = [_run_tool(tree, name) for tree in trees]
+            print(f"{label}: {rev} ({commit[:12]}) | working tree")
+            if None in runs:
+                bad.append(f"{label} failed")
+                continue
+            for part in dict.fromkeys([*runs[0], *runs[1]]):
+                a, b = (r.get(part, "missing") for r in runs)
+                print(f"  {part:10s} {a[:16]}  {b[:16]}  {'same' if a == b else 'DIFFERS'}")
+                if a != b:
+                    bad.append(f"{label}: {part}")
+    for what in bad:
+        print(f"differs: {what}", file=sys.stderr)
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--against", metavar="REV",
+                    help="compare REV with the working tree under both trees' tools")
+    args = ap.parse_args(argv)
+    return digest_all() if args.against is None else against(args.against)
 
 
 if __name__ == "__main__":
