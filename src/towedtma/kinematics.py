@@ -77,10 +77,11 @@ class MotionModel:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown motion model kind {self.kind!r}")
-        if not self.T > 0:
-            raise ValueError(f"sampling interval must be positive, got {self.T}")
-        if self.q1 < 0 or self.q2 < 0:
-            raise ValueError("noise intensities must be nonnegative")
+        if not 0 < self.T < math.inf:  # NaN and inf fail too
+            raise ValueError(f"T: sampling interval must be positive and finite, got {self.T}")
+        for name in ("q1", "q2"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: noise intensity must be nonnegative and finite")
 
     @property
     def dim(self) -> int:

@@ -65,8 +65,8 @@ class InitPrior:
 
     def __post_init__(self) -> None:
         for name in ("sigma_r", "sigma_theta", "sigma_s", "sigma_c", "r_bar", "s_bar", "sigma_psi"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN and inf fail too
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass

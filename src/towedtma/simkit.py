@@ -209,14 +209,17 @@ class ScenarioConfig:
 
 def observer_course(cfg: ScenarioConfig, t_min: float) -> float:
     """Ownship course (rad) at an absolute time, piecewise in the maneuver."""
-    c0 = np.deg2rad(cfg.observer_course0_deg)
-    c1 = np.deg2rad(cfg.observer_course_final_deg)
-    if t_min <= cfg.maneuver_start_min:
+    return _course(np.deg2rad(cfg.observer_course0_deg), np.deg2rad(cfg.observer_course_final_deg),
+                   cfg.maneuver_start_min, cfg.maneuver_end_min, t_min)
+
+
+def _course(c0: float, c1: float, start: float, end: float, t_min: float) -> float:
+    # c0 until the maneuver starts, c1 from its end, linear in between
+    if t_min <= start:
         return float(c0)
-    if t_min >= cfg.maneuver_end_min:
+    if t_min >= end:
         return float(c1)
-    frac = (t_min - cfg.maneuver_start_min) / (cfg.maneuver_end_min - cfg.maneuver_start_min)
-    return float(c0 + frac * (c1 - c0))
+    return float(c0 + (t_min - start) / (end - start) * (c1 - c0))
 
 
 def _arc_displacement(speed: float, c_a: float, c_b: float, dt: float) -> np.ndarray:
@@ -231,49 +234,39 @@ def _arc_displacement(speed: float, c_a: float, c_b: float, dt: float) -> np.nda
 
 
 def gen_observer_track(cfg: ScenarioConfig) -> list[ObserverState]:
-    """Ownship states at t = 0, T, ..., horizon*T (horizon + 1 samples)."""
-    speed = cfg.observer_speed_kn * KNOT
+    """Ownship states at t = 0, T, ..., horizon*T (horizon + 1 samples).
+
+    The track depends on the sampling, the ownship speed and the maneuver
+    plan alone, and is integrated once per plan: configs that differ in any
+    other field share it. Each call returns a fresh list.
+    """
+    return list(_observer_track(cfg.T, cfg.horizon, cfg.observer_speed_kn,
+                                cfg.observer_course0_deg, cfg.observer_course_final_deg,
+                                cfg.maneuver_start_min, cfg.maneuver_end_min))
+
+
+# typed: an int and a float field value of one number may integrate apart
+@functools.lru_cache(maxsize=8, typed=True)
+def _observer_track(T: float, horizon: int, speed_kn: float, course0_deg: float,
+                    course_final_deg: float, start: float, end: float
+                    ) -> tuple[ObserverState, ...]:
+    speed = speed_kn * KNOT
+    course = functools.partial(_course, np.deg2rad(course0_deg), np.deg2rad(course_final_deg),
+                               start, end)
     pos = np.zeros(2)
     track = []
-    breaks = (cfg.maneuver_start_min, cfg.maneuver_end_min)
-    for k in range(cfg.horizon + 1):
-        t = k * cfg.T
-        course = observer_course(cfg, t)
-        vel = kinematics.vel_from_course(speed, course)
-        track.append(
-            ObserverState(
-                x=float(pos[0]),
-                y=float(pos[1]),
-                vx=float(vel[0]),
-                vy=float(vel[1]),
-                heading=float(sensing.wrap_angle(course)),
-            )
-        )
+    for k in range(horizon + 1):
+        t = k * T
+        c = course(t)
+        vel = kinematics.vel_from_course(speed, c)
+        track.append(ObserverState(float(pos[0]), float(pos[1]), float(vel[0]), float(vel[1]),
+                                   heading=float(sensing.wrap_angle(c))))
         # integrate to the next sample, splitting at maneuver boundaries
-        t_next = (k + 1) * cfg.T
-        edges = [t] + [b for b in breaks if t < b < t_next] + [t_next]
+        t_next = (k + 1) * T
+        edges = [t] + [b for b in (start, end) if t < b < t_next] + [t_next]
         for a, b in zip(edges[:-1], edges[1:]):
-            pos = pos + _arc_displacement(
-                speed, observer_course(cfg, a), observer_course(cfg, b), b - a
-            )
-    return track
-
-
-# the ScenarioConfig fields gen_observer_track reads
-_OBSERVER_FIELDS = (
-    "T", "horizon", "observer_speed_kn", "observer_course0_deg",
-    "observer_course_final_deg", "maneuver_start_min", "maneuver_end_min",
-)
-
-
-def _observer_track_cached(cfg: ScenarioConfig) -> tuple[ObserverState, ...]:
-    # configs that differ only in seed, run count, filter or case share a track
-    return _observer_track(tuple(getattr(cfg, name) for name in _OBSERVER_FIELDS))
-
-
-@functools.lru_cache(maxsize=8)
-def _observer_track(key: tuple) -> tuple[ObserverState, ...]:
-    return tuple(gen_observer_track(ScenarioConfig(**dict(zip(_OBSERVER_FIELDS, key)))))
+            pos = pos + _arc_displacement(speed, course(a), course(b), b - a)
+    return tuple(track)
 
 
 def gen_target_track(
@@ -379,7 +372,7 @@ def synthesize_run(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> RunInpu
     ]
     rng_proc, rng_meas, rng_misc, rng_init = (np.random.default_rng(c) for c in children)
 
-    observers = list(_observer_track_cached(cfg))
+    observers = gen_observer_track(cfg)
     target = gen_target_track(cfg, rng_proc)
     rel_all = relative_truth(target, observers)
 
@@ -444,20 +437,19 @@ def track_run(inputs: RunInputs, cfg: ScenarioConfig, log_odds: float) -> RunRec
 
 def simulate_run(
     cfg: ScenarioConfig,
-    seed: int | np.random.SeedSequence,
+    seed: np.random.SeedSequence,
     mode: str = RESOLVED,
 ) -> RunRecord:
-    """:func:`track_run` on :func:`synthesize_run`'s inputs.
+    """:func:`track_run` on :func:`synthesize_run`'s inputs; ``seed`` is a
+    :func:`run_seed`.
 
     The mode is only the initial log-odds: "resolved" starts at 0 (equal
     weights), "known-side" settled on ``true_slot`` (+inf for slot 1, -inf
-    for slot 2). An int ``seed`` means ``run_seed(seed, 0)``: run 0 of that
-    master seed.
+    for slot 2).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else run_seed(seed, 0)
-    inputs = synthesize_run(cfg, ss)
+    inputs = synthesize_run(cfg, seed)
     settled = math.inf if inputs.true_slot == 1 else -math.inf
     return track_run(inputs, cfg, 0.0 if mode == RESOLVED else settled)
 

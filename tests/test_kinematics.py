@@ -307,6 +307,12 @@ class TestMotionModel:
             MotionModel(kind=CV, T=0.0, q1=0.0)
         with pytest.raises(ValueError):
             MotionModel(kind=CV, T=1.0, q1=-1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^T: "):
+                MotionModel(kind=CV, T=bad, q1=0.0)
+            for name in ("q1", "q2"):
+                with pytest.raises(ValueError, match=f"^{name}: "):
+                    MotionModel(**{"kind": CT, "T": 1.0, "q1": 0.0, name: bad})
 
     def test_dims(self):
         assert cv_model().dim == 4

@@ -186,13 +186,14 @@ class TestInitSide:
             assert bank.belief1 is bank.belief2 is bank.fused
             assert bank_r.belief1 is bank_r.belief2 is bank_r.fused
 
-    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan])
-    @pytest.mark.parametrize("name", ["r_bar", "s_bar", "sigma_psi"])
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["r_bar", "s_bar", "sigma_psi", "sigma_r"])
     def test_prior_rejects_nonpositive_range_and_turn_spread(self, name, value):
         # a negative prior range would put the side on the reciprocal ray; a
         # negative prior speed opens along the bearing instead of closing,
         # and a zero one gives the velocity block a zero eigenvalue, since
-        # the course spread scales with it
+        # the course spread scales with it; a non-finite value makes the
+        # first belief non-finite
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(default_prior(), **{name: value})
 

@@ -110,38 +110,56 @@ class TestObserverTrack:
         assert track[0].heading == pytest.approx(np.deg2rad(140.0))
         assert track[-1].heading == pytest.approx(np.deg2rad(20.0))
 
-    def test_cached_track_shared_across_seeds_filters_and_cases(self, monkeypatch):
-        calls = []
-        original = simkit.gen_observer_track
-
-        def counting(cfg):
-            calls.append(cfg)
-            return original(cfg)
-
-        monkeypatch.setattr(simkit, "gen_observer_track", counting)
+    def test_cached_track_shared_across_seeds_filters_and_cases(self):
         simkit._observer_track.cache_clear()
         for seed in (1, 2):
             for kind in ("ekf", "srf"):
                 run_monte_carlo(ScenarioConfig(seed=seed, filter_kind=kind, n_runs=2))
-        simulate_run(ScenarioConfig(model_kind=CT, n_runs=3), 5)
-        assert len(calls) == 1
+        simulate_run(ScenarioConfig(model_kind=CT, n_runs=3), run_seed(5, 0))
+        assert simkit._observer_track.cache_info().misses == 1
         # an ownship field is part of the key
-        simulate_run(ScenarioConfig(observer_speed_kn=6.0), 5)
-        assert len(calls) == 2
+        simulate_run(ScenarioConfig(observer_speed_kn=6.0), run_seed(5, 0))
+        assert simkit._observer_track.cache_info().misses == 2
 
-    def test_track_reads_only_its_cache_key_fields(self):
-        # the cache is keyed on these fields: a track that read another one
-        # would be shared by configs it differs between
+    @pytest.mark.parametrize("name, value", [
+        ("T", 0.75), ("horizon", 40), ("observer_speed_kn", 6.0), ("observer_course0_deg", 130.0),
+        ("observer_course_final_deg", 30.0), ("maneuver_start_min", 12.4),
+        ("maneuver_end_min", 16.6),
+    ])
+    def test_each_plan_field_keys_its_own_track(self, name, value):
+        simkit._observer_track.cache_clear()
+        base = gen_observer_track(ScenarioConfig())
+        track = gen_observer_track(ScenarioConfig(**{name: value}))
+        assert simkit._observer_track.cache_info().misses == 2
+        assert track != base
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 9), ("n_runs", 7), ("filter_kind", "srf"), ("model_kind", CT),
+        ("initial_bearing_deg", 30.0), ("q1", 0.0),
+        ("init_prior", InitPriorConfig(r_bar_km=8.0)),
+    ])
+    def test_fields_outside_the_plan_reuse_the_track(self, name, value):
+        base = gen_observer_track(ScenarioConfig())
+        misses = simkit._observer_track.cache_info().misses
+        assert gen_observer_track(ScenarioConfig(**{name: value})) == base
+        assert simkit._observer_track.cache_info().misses == misses
+
+    def test_mutating_a_returned_track_leaves_the_next_whole(self):
         cfg = ScenarioConfig()
-        read = set()
+        want = gen_observer_track(cfg)
+        got = gen_observer_track(cfg)
+        got[3] = got[0]
+        got.append(got[0])
+        del got[:5]
+        assert gen_observer_track(cfg) == want
 
-        class Recorder:
-            def __getattr__(self, name):
-                read.add(name)
-                return getattr(cfg, name)
-
-        assert gen_observer_track(Recorder()) == gen_observer_track(cfg)
-        assert read == set(simkit._OBSERVER_FIELDS)
+    def test_an_int_and_a_float_plan_value_keep_apart(self):
+        # T = 2**53 - 1 is one number as an int and as a float, but only the
+        # float's sample times round, so the two integrate apart: neither
+        # config may be served the other's cached track
+        T = 2**53 - 1
+        as_int = gen_observer_track(ScenarioConfig(T=T))
+        assert gen_observer_track(ScenarioConfig(T=float(T))) != as_int
 
 
 class TestTargetTrack:
@@ -264,16 +282,6 @@ class TestSimulateRun:
             [p.y1 for p in a.measurements], [p.y1 for p in b.measurements]
         )
 
-    def test_int_seed_is_run_0_of_that_master_seed(self):
-        # as `towedtma track --seed 7` and run 0 of a seed-7 Monte Carlo
-        cfg = ScenarioConfig(filter_kind="ekf")
-        a = simulate_run(cfg, 7)
-        b = simulate_run(cfg, run_seed(7, 0))
-        assert (a.true_slot, a.failure) == (b.true_slot, b.failure)
-        assert a.truth_rel.tobytes() == b.truth_rel.tobytes()
-        assert a.measurements == b.measurements
-        assert [_bank_bytes(e) for e in a.estimates] == [_bank_bytes(e) for e in b.estimates]
-
     def test_sequence_lengths(self):
         cfg = ScenarioConfig(filter_kind="ukf")
         rec = simulate_run(cfg, run_seed(cfg.seed, 3))
@@ -368,7 +376,7 @@ class TestSimulateRun:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            simulate_run(ScenarioConfig(), 0, mode="oracle")
+            simulate_run(ScenarioConfig(), run_seed(0, 0), mode="oracle")
 
     def test_slot_randomization_hits_both(self):
         cfg = ScenarioConfig(filter_kind="ekf")

@@ -217,3 +217,32 @@ def test_bench_pairs_writes_every_run_then_fails_on_a_bad_one(tmp_path, monkeypa
     assert doc["workloads"]["w"]["summary"]["metrics"]["runs_per_s"]["pairs"] == 3
     assert len(cwds) == 10 and mod.ROOT not in cwds
     assert {cwd.name.split("-")[1] for cwd in cwds} == {"parent", "change"}
+
+
+def test_bench_pairs_writes_its_file_where_there_is_no_affinity_call(tmp_path, monkeypatch):
+    # the usable cores are read after every pair has run, so a platform
+    # without sched_getaffinity must still get its file, with the core count
+    mod = _bench_pairs()
+    empty_tar = io.BytesIO()
+    tarfile.open(fileobj=empty_tar, mode="w").close()
+    real_run = subprocess.run
+
+    def fake_git(*args):
+        return {"rev-parse": b"0123abc\n", "archive": empty_tar.getvalue()}.get(args[0], b"")
+
+    def fake_subprocess_run(cmd, **kwargs):
+        if cmd[0] == "tar":
+            return real_run(cmd, **kwargs)
+        result = _bench_run(1, "parent", 100.0)["result"]
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n")
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(mod, "ROOT", tmp_path)
+    monkeypatch.setattr(mod, "_git", fake_git)
+    monkeypatch.setattr(mod.subprocess, "run", fake_subprocess_run)
+    monkeypatch.delattr(mod.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mod.os, "cpu_count", lambda: 3)
+    assert mod.main(["--label", "t", "--workload", "w", "--seeds", "1-2"]) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (doc["cpu_count"], doc["usable_cpus"]) == (3, 3)
+    assert doc["workloads"]["w"]["summary"]["metrics"]["runs_per_s"]["pairs"] == 2

@@ -14,7 +14,8 @@ goes first, and writes
 ``BENCH_<label>.json`` at the repository root. The file records every
 run's exit code and last-line JSON with its seed, tree and order, the
 machine's core count (``os.cpu_count()``) and the cores this process may
-run on (``sched_getaffinity``). A run that exits non-zero, or whose last
+run on (``sched_getaffinity``, or the core count where the platform has no
+affinity call). A run that exits non-zero, or whose last
 line is not JSON, errored and has no result. The summary lists per tree the
 seeds whose run errored, was ``correct: false`` or had ``failed > 0``, and
 for each end-to-end metric of ``BENCHMARK.json`` both trees' medians and
@@ -183,7 +184,8 @@ def main(argv=None) -> int:
         "change": {"head": _git("rev-parse", "HEAD").decode().strip(),
                    "uncommitted_changes": bool(_git("status", "--porcelain").strip())},
         "cpu_count": os.cpu_count(),
-        "usable_cpus": len(os.sched_getaffinity(0)),
+        "usable_cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count()),
         "command": "benchmarks/run.py --trace 0",
     })
     summary = summarize(runs, end_to_end)

@@ -41,7 +41,10 @@ and hashes seven parts, printing each part's digest to stderr:
   with the default and with zero process noise, each followed by the
   generator's next draw (zero noise must draw nothing); and
   ``relative_truth`` of each track with every observer and with the first
-  half of them (the later rows stay the target's).
+  half of them (the later rows stay the target's); and the observer states
+  of ``simkit.gen_observer_track`` for ownship plans whose maneuver breaks
+  fall inside a step: 12.4-16.6 min at T = 0.5 and 1, and the default
+  13-17 min at T = 0.75 (at T = 0.5 and 1 its breaks fall on samples).
 * ``init``: ``lrtma.init_bank`` for CV and CT on fixed first bearings (0,
   +/-pi/2, +/-pi and their neighbouring floats), 40 random ones and +/-inf
   and NaN, each with a random heading and observer, and on its mirrored
@@ -236,6 +239,10 @@ def truth_digest(h) -> None:
                 observers = simkit.gen_observer_track(cfg)
                 _feed(h, simkit.relative_truth(target, observers),
                       simkit.relative_truth(target, observers[: len(observers) // 2]))
+    for T, start, end in ((0.5, 12.4, 16.6), (1.0, 12.4, 16.6), (0.75, 13.0, 17.0)):
+        cfg = simkit.ScenarioConfig(T=T, horizon=round(30 / T), maneuver_start_min=start,
+                                    maneuver_end_min=end)
+        _feed(h, [dataclasses.astuple(o) for o in simkit.gen_observer_track(cfg)])
 
 
 def init_digest(h) -> None:
