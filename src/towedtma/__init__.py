@@ -32,7 +32,7 @@ from .simkit import (
     simulate_run,
 )
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 __all__ = [
     "BearingPair",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -185,24 +185,24 @@ def points_for(kind: str, belief: GaussianBelief) -> WeightedPointSet:
 def predict(
     belief: GaussianBelief,
     model: MotionModel,
-    u: Optional[np.ndarray],
+    u: np.ndarray,
     kind: str,
 ) -> GaussianBelief:
     """Time update through the motion model, minus the observer input.
 
-    The EKF propagates the mean through the transition and the covariance
-    through the process Jacobian. Sample-point filters propagate their
-    point set, rebuild the first two moments, and subtract the input from
-    the reconstructed mean. The SRF uses the exact linear propagation for
-    a linear model and cubature points otherwise.
+    The input ``u`` is required: an array of the model's dimension, zeros
+    for an observer that moves by the model's own dynamics. The EKF
+    propagates the mean through the transition and the covariance through
+    the process Jacobian. Sample-point filters propagate their point set,
+    rebuild the first two moments, and subtract the input from the
+    reconstructed mean. The SRF uses the exact linear propagation for a
+    linear model and cubature points otherwise.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     n = belief.dim
     if n != model.dim:
         raise ValueError(f"belief dim {n} does not match model dim {model.dim}")
-    if u is None:
-        u = np.zeros(n)
     Q = kinematics.process_noise_cov(model)
 
     if kind == EKF or (kind == SRF and model.linear):

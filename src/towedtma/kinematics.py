@@ -302,8 +302,10 @@ def process_jacobian(model: MotionModel, state: np.ndarray) -> np.ndarray:
         db = T**2 / 2.0
     else:
         psi2 = psi * psi  # inf, not OverflowError, past the float range
+        # 1 - cos(psi*T) as 2 sin^2(psi*T/2), which keeps its digits near psi = 0
+        sh, _ = sin_cos(psi * T / 2.0)
         da = (psi * T * cs - sn) / psi2
-        db = (psi * T * sn - (1.0 - cs)) / psi2
+        db = (psi * T * sn - 2.0 * sh * sh) / psi2
     return np.array(
         [
             [1.0, 0.0, a, -b, da * vx - db * vy],

@@ -207,12 +207,6 @@ class ScenarioConfig:
         return asdict(self)
 
 
-def observer_course(cfg: ScenarioConfig, t_min: float) -> float:
-    """Ownship course (rad) at an absolute time, piecewise in the maneuver."""
-    return _course(np.deg2rad(cfg.observer_course0_deg), np.deg2rad(cfg.observer_course_final_deg),
-                   cfg.maneuver_start_min, cfg.maneuver_end_min, t_min)
-
-
 def _course(c0: float, c1: float, start: float, end: float, t_min: float) -> float:
     # c0 until the maneuver starts, c1 from its end, linear in between
     if t_min <= start:

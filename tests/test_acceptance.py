@@ -106,7 +106,7 @@ def test_ac1_kalman_equivalence():
         km = km + K * (y - km[0])
         kP = kP - S * np.outer(K, K)
         for kind in beliefs:
-            prior = gaussfilt.predict(beliefs[kind], model, None, kind)
+            prior = gaussfilt.predict(beliefs[kind], model, np.zeros(model.dim), kind)
             beliefs[kind] = gaussfilt.update(prior, y, r, kind, meas=meas).posterior
             worst = max(worst, float(np.max(np.abs(beliefs[kind].mean - km))))
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -152,12 +153,13 @@ class TestCtScalarPath:
             a, b, cs, sn = (c[0] for c in kinematics._ct_coeffs(np.array([psi]), T))
             J = process_jacobian(model, x)
             # the psi column from the array-path coefficients, in numpy
-            # scalar arithmetic
+            # scalar arithmetic, with 1 - cos(psi*T) taken as 2 sin^2(psi*T/2)
             p = np.float64(psi)
             if abs(p) < EPS:
                 da, db = -p * T**3 / 3.0, T**2 / 2.0
             else:
-                da, db = (p * T * cs - sn) / (p * p), (p * T * sn - (1.0 - cs)) / (p * p)
+                sh = np.sin(p * T / 2.0)
+                da, db = (p * T * cs - sn) / (p * p), (p * T * sn - 2.0 * sh * sh) / (p * p)
             want_col = [da * vx - db * vy, db * vx + da * vy,
                         -T * sn * vx - T * cs * vy, T * cs * vx - T * sn * vy]
             o0 = ObserverState(*obs[:4], heading=0.0)
@@ -297,6 +299,23 @@ class TestProcessJacobian:
                 fd = (ct_transition(x + dx, 1.0) - ct_transition(x - dx, 1.0)) / (2 * h)
                 scale = np.maximum(np.abs(J[:, j]), 1.0)
                 assert np.all(np.abs(J[:, j] - fd) / scale < 1e-5)
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("psi_T", [kinematics.PSI_EPS, -kinematics.PSI_EPS, 2e-8, 1e-7,
+                                       1e-6, 1e-5, 1e-3, 0.05])
+    def test_ct_psi_column_against_mpmath(self, psi_T, T):
+        # just above PSI_EPS, 1 - cos(psi*T) cancels to nothing in floats;
+        # the reference takes the analytic derivatives at 50 digits
+        vx, vy, psi = 0.3, -0.2, psi_T / T
+        J = process_jacobian(ct_model(T=T), np.array([1.0, 2.0, vx, vy, psi]))
+        with mpmath.workdps(50):
+            p, t = mpmath.mpf(psi), mpmath.mpf(T)
+            sn, cs = mpmath.sin(p * t), mpmath.cos(p * t)
+            da = (p * t * cs - sn) / p**2
+            db = (p * t * sn - (1 - cs)) / p**2
+            want = [float(w) for w in (da * vx - db * vy, db * vx + da * vy,
+                                       -t * (sn * vx + cs * vy), t * (cs * vx - sn * vy), 1)]
+        assert np.all(np.abs(J[:, 4] - want) <= 1e-8 * np.maximum(np.abs(want), 1.0))
 
 
 class TestMotionModel:

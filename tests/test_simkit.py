@@ -86,15 +86,25 @@ class TestObserverTrack:
         for o in gen_observer_track(cfg):
             assert np.hypot(o.vx, o.vy) == pytest.approx(5.0 * KNOT, abs=1e-12)
 
-    def test_course_midpoint_of_maneuver(self):
-        cfg = ScenarioConfig()
-        assert np.degrees(simkit.observer_course(cfg, 15.0)) == pytest.approx(80.0)
+    def test_heading_follows_the_maneuver_plan(self):
+        # 140 deg until the turn starts at 13 min, 20 deg from its end at 17
+        track = gen_observer_track(ScenarioConfig())
+        for k, course_deg in ((13, 140.0), (15, 80.0), (17, 20.0), (30, 20.0)):
+            assert np.degrees(track[k].heading) == pytest.approx(course_deg)
 
-    def test_course_endpoints(self):
-        cfg = ScenarioConfig()
-        assert np.degrees(simkit.observer_course(cfg, 13.0)) == pytest.approx(140.0)
-        assert np.degrees(simkit.observer_course(cfg, 17.0)) == pytest.approx(20.0)
-        assert np.degrees(simkit.observer_course(cfg, 30.0)) == pytest.approx(20.0)
+    @pytest.mark.parametrize("coarse, fine, plan", [
+        ((0.75, 40), (0.25, 120), {}),
+        ((1.0, 30), (0.1, 300), {"maneuver_start_min": 12.4, "maneuver_end_min": 16.6}),
+    ])
+    def test_track_does_not_depend_on_the_sampling_interval(self, coarse, fine, plan):
+        # the maneuver's breaks split coarse steps and fall on fine samples,
+        # so the coarse track checks the arc integration across a split step
+        a = gen_observer_track(ScenarioConfig(T=coarse[0], horizon=coarse[1], **plan))
+        b = gen_observer_track(ScenarioConfig(T=fine[0], horizon=fine[1], **plan))
+        for oa, ob in zip(a, b[::round(coarse[0] / fine[0])], strict=True):
+            assert np.allclose(dataclasses.astuple(oa)[:4], dataclasses.astuple(ob)[:4],
+                               rtol=0.0, atol=1e-12)
+            assert oa.heading == ob.heading
 
     def test_position_continuity(self):
         cfg = ScenarioConfig()

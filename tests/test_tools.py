@@ -45,7 +45,7 @@ def _tar(files: dict) -> bytes:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("differs", [None, ("_digest_tree.py", "tree", "files")])
+@pytest.mark.parametrize("differs", [None, ("_digest_tree.py", "change", "files")])
 def test_output_digest_against_runs_both_tools_on_both_trees(tmp_path, monkeypatch, capsys,
                                                              differs):
     monkeypatch.syspath_prepend(str(TOOLS))
@@ -68,9 +68,9 @@ def test_output_digest_against_runs_both_tools_on_both_trees(tmp_path, monkeypat
         if cmd[0] == "tar":
             return real_run(cmd, **kwargs)
         script, tree = Path(cmd[1]), Path(kwargs["cwd"])
-        side = tree.name.split("-")[1]  # digest-rev-* or digest-tree-*
+        side = tree.name.split("-")[1]  # tree-parent-* or tree-change-*
         assert cmd[0] == sys.executable and script.parent == tree / "tools"
-        assert (tree / "src.py").read_text() == {"rev": "old\n", "tree": "edited\n"}[side]
+        assert (tree / "src.py").read_text() == {"parent": "old\n", "change": "edited\n"}[side]
         # each copy is its own tree's tool, in both trees
         tool = {"_digest_rev.py": "rev's tool\n", "_digest_tree.py": "this tree's tool\n"}
         assert script.read_text() == tool[script.name]
@@ -85,8 +85,8 @@ def test_output_digest_against_runs_both_tools_on_both_trees(tmp_path, monkeypat
     monkeypatch.setattr(bench_pairs, "_git", fake_git)
     monkeypatch.setattr(subprocess, "run", fake_subprocess_run)
     assert digest.main(["--against", "HEAD~"]) == (1 if differs else 0)
-    assert runs == [("_digest_rev.py", "rev"), ("_digest_rev.py", "tree"),
-                    ("_digest_tree.py", "rev"), ("_digest_tree.py", "tree")]
+    assert runs == [("_digest_rev.py", "parent"), ("_digest_rev.py", "change"),
+                    ("_digest_tree.py", "parent"), ("_digest_tree.py", "change")]
     out, err = capsys.readouterr()
     assert out.splitlines()[0] == "HEAD~'s tool: HEAD~ (0123abcdef) | working tree"
     assert f"  runs       {'1' * 16}  {'1' * 16}  same" in out.splitlines()
@@ -194,7 +194,7 @@ def test_bench_pairs_writes_every_run_then_fails_on_a_bad_one(tmp_path, monkeypa
             return real_run(cmd, **kwargs)
         seed, cwd = int(cmd[cmd.index("--seed") + 1]), Path(kwargs["cwd"])
         cwds.append(cwd)
-        tree = cwd.name.split("-")[1]  # bench-parent-* or bench-change-*
+        tree = cwd.name.split("-")[1]  # tree-parent-* or tree-change-*
         if tree == "change":
             # the working tree as it stands, without the deleted file
             assert sorted(str(p.relative_to(cwd)) for p in cwd.rglob("*.py")) == [

@@ -35,6 +35,7 @@ run of this call errored or was incorrect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -42,6 +43,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,16 +53,24 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
 
 
-def _export_working_tree(dest: Path) -> None:
-    """Copy the tracked files as they stand, and the untracked files that are
-    not ignored, into ``dest``."""
-    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-    for name in filter(None, names.split(b"\0")):
-        src, dst = ROOT / os.fsdecode(name), dest / os.fsdecode(name)
-        if not os.path.lexists(src):
-            continue  # tracked, but deleted in the working tree
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(src, dst, follow_symlinks=False)
+@contextlib.contextmanager
+def exported_trees(rev: str) -> Iterator[tuple[str, Path, Path]]:
+    """Yield ``rev``'s commit and two sibling temporary directories:
+    ``tree-parent-*`` holds ``rev`` from ``git archive``, ``tree-change-*``
+    the working tree's tracked files as they stand and its untracked files
+    that are not ignored."""
+    commit = _git("rev-parse", rev).decode().strip()
+    with tempfile.TemporaryDirectory(prefix="tree-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="tree-change-") as change:
+        subprocess.run(["tar", "-x", "-C", parent], input=_git("archive", commit), check=True)
+        names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        for name in filter(None, names.split(b"\0")):
+            src, dst = ROOT / os.fsdecode(name), Path(change, os.fsdecode(name))
+            if not os.path.lexists(src):
+                continue  # tracked, but deleted in the working tree
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
+        yield commit, Path(parent), Path(change)
 
 
 def _seeds(spec: str) -> list[int]:
@@ -149,21 +159,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    commit = _git("rev-parse", args.parent).decode().strip()
     out_path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    if doc and doc["parent_commit"] != commit:
-        print(f"{out_path.name} compares against {doc['parent_commit']}, not {commit}",
-              file=sys.stderr)
-        return 2
 
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
-            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree:
-        subprocess.run(["tar", "-x", "-C", parent_tree], input=_git("archive", commit),
-                       check=True)
-        _export_working_tree(Path(change_tree))
-        trees = {"parent": Path(parent_tree), "change": Path(change_tree)}
+    with exported_trees(args.parent) as (commit, parent_tree, change_tree):
+        if doc and doc["parent_commit"] != commit:
+            print(f"{out_path.name} compares against {doc['parent_commit']}, not {commit}",
+                  file=sys.stderr)
+            return 2
+        trees = {"parent": parent_tree, "change": change_tree}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for pos, tree in enumerate(order):

@@ -64,9 +64,10 @@ and hashes seven parts, printing each part's digest to stderr:
   whether ``rel_exec_time`` is null. It hashes ``report.json`` with its
   ``timings`` rows cut to that same row layout.
 
-``--against REV`` exports REV with ``git archive`` and the working tree
-(as ``tools/bench_pairs.py`` does) into sibling temporary directories, and
-runs REV's copy of this tool and the working tree's copy on each tree. It
+``--against REV`` exports REV and the working tree into sibling temporary
+directories with ``bench_pairs.exported_trees``, the export that
+``tools/bench_pairs.py`` runs its pairs in, and runs REV's copy of this
+tool and the working tree's copy on each tree. It
 prints each tool's digests on the two trees side by side and exits 1,
 naming the tool and part, when a tool fails or its digests differ between
 the trees. REV's tool shows that the outputs it knew are unchanged; this
@@ -349,13 +350,7 @@ def against(rev: str) -> int:
     fails or its digests differ between the trees."""
     import bench_pairs  # the sibling tool, on sys.path as this script's directory
 
-    commit = bench_pairs._git("rev-parse", rev).decode().strip()
-    with tempfile.TemporaryDirectory(prefix="digest-rev-") as rev_dir, \
-            tempfile.TemporaryDirectory(prefix="digest-tree-") as tree_dir:
-        trees = (Path(rev_dir), Path(tree_dir))
-        subprocess.run(["tar", "-x", "-C", rev_dir], input=bench_pairs._git("archive", commit),
-                       check=True)
-        bench_pairs._export_working_tree(trees[1])
+    with bench_pairs.exported_trees(rev) as (commit, *trees):
         # each tool hashes the package of the tree it sits in
         tools = {f"_digest_{name}.py": tree / "tools" / "output_digest.py"
                  for name, tree in zip(("rev", "tree"), trees)}
