@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.polynomial import hermite_e
 
 from . import kinematics, sensing
@@ -118,21 +119,35 @@ def symmetrize(P: np.ndarray) -> np.ndarray:
     return S
 
 
+def _cholesky(P: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky`` of a square float matrix, without its wrapper.
+
+    This calls the LAPACK gufunc that ``np.linalg.cholesky`` calls, in the
+    same floating-point error state, and gives the same bits. A failed
+    factorisation sets the invalid flag (and fills the factor with NaN):
+    where the wrapper raises LinAlgError this raises FloatingPointError.
+    The gufunc's module is private to numpy, so the tests pin it against
+    ``np.linalg.cholesky``.
+    """
+    with np.errstate(all="ignore", invalid="raise"):
+        return _umath_linalg.cholesky_lo(P, signature="d->d")
+
+
 def chol_psd(P: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor, retrying once with a small jitter.
 
     Raises FilterNumericsError if the jittered matrix still fails.
     """
     try:
-        return np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
+        return _cholesky(P)
+    except FloatingPointError:
         n = P.shape[0]
         jitter = 1e-10 * np.trace(P) / n
         if not np.isfinite(jitter) or jitter <= 0:
             raise FilterNumericsError("covariance is not positive semidefinite")
         try:
-            return np.linalg.cholesky(P + jitter * np.eye(n))
-        except np.linalg.LinAlgError as exc:
+            return _cholesky(P + jitter * np.eye(n))
+        except FloatingPointError as exc:
             raise FilterNumericsError(
                 "covariance is not positive semidefinite"
             ) from exc

@@ -151,14 +151,18 @@ def _ct_coeffs(psi, T: float) -> tuple:
             return float(T), psi * T * T / 2.0, cs, sn
         return sn / psi, (1.0 - cs) / psi, cs, sn
     psi = np.asarray(psi, dtype=float)
-    cs = np.cos(psi * T)
-    sn = np.sin(psi * T)
+    psiT = psi * T
+    cs = np.cos(psiT)
+    sn = np.sin(psiT)
+    # one reduction decides the common case; NaN and empty arrays fall through
+    if psi.size and np.abs(psi).min() >= PSI_EPS:
+        return sn / psi, (1.0 - cs) / psi, cs, sn
     small = np.abs(psi) < PSI_EPS
     if not small.any():
         return sn / psi, (1.0 - cs) / psi, cs, sn
     safe = np.where(small, 1.0, psi)
     a = np.where(small, T, sn / safe)
-    b = np.where(small, psi * T * T / 2.0, (1.0 - cs) / safe)
+    b = np.where(small, psiT * T / 2.0, (1.0 - cs) / safe)
     return a, b, cs, sn
 
 

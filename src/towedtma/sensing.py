@@ -54,6 +54,8 @@ def wrap_angle(a):
             w += TWO_PI
         return w + 0.0  # exact, and -0.0 becomes +0.0 as on the array branch
     a = np.asarray(a, dtype=float)
+    if a.ndim and a.size and np.abs(a).max() < np.pi:
+        return a + 0.0  # already inside: the same bits, +0.0 for -0.0
     # a 0-d input gives a numpy scalar, which the masks cannot write to
     w = np.atleast_1d(a - TWO_PI * np.rint(a / TWO_PI))
     w[w > np.pi] -= TWO_PI

@@ -5,9 +5,13 @@
 branch of ``wrap_angle`` moved their elementwise work off numpy's per-call
 path and kept every dot and matrix product as the same numpy call in the
 same association order; ``kinematics.sin_cos`` takes one angle's sine and
-cosine from libm, which must round them as numpy does. Each
-``old_*`` function below is the earlier expression, verbatim; the tests
-require the same bits from both, signs of zeros and NaN payloads included.
+cosine from libm, which must round them as numpy does. ``chol_psd``
+calls the LAPACK gufunc behind ``np.linalg.cholesky`` from numpy's private
+``_umath_linalg`` module, and the array branches of ``wrap_angle`` and
+``kinematics._ct_coeffs`` take an early exit when one reduction shows the
+common case. Each ``old_*`` function below is the earlier expression,
+verbatim; the tests require the same bits from both, signs of zeros and
+NaN payloads included, or the same exception class and message.
 One exception: where two NaNs meet in one operation of ``cv_transition``,
 IEEE 754 leaves the result's payload to the implementation, and Python's
 float ops and numpy's loops pick differently, so there the result need
@@ -15,6 +19,7 @@ only be a NaN.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +43,7 @@ from towedtma.gaussfilt import (
 )
 
 TWO_PI = sensing.TWO_PI
+PSI_EPS = kinematics.PSI_EPS
 
 # random angles, +/-pi, odd multiples of pi and their neighbouring floats,
 # signed zeros, a huge angle and the non-finite values
@@ -54,6 +60,40 @@ def old_wrap_angle(a):
     w = np.where(w > np.pi, w - TWO_PI, w)
     w = np.where(w <= -np.pi, w + TWO_PI, w)
     return w if w.ndim else float(w)
+
+
+def old_chol_psd(P):
+    """Lower-triangular Cholesky factor, retrying once with a small jitter.
+
+    Raises FilterNumericsError if the jittered matrix still fails.
+    """
+    try:
+        return np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        n = P.shape[0]
+        jitter = 1e-10 * np.trace(P) / n
+        if not np.isfinite(jitter) or jitter <= 0:
+            raise FilterNumericsError("covariance is not positive semidefinite")
+        try:
+            return np.linalg.cholesky(P + jitter * np.eye(n))
+        except np.linalg.LinAlgError as exc:
+            raise FilterNumericsError(
+                "covariance is not positive semidefinite"
+            ) from exc
+
+
+def old_ct_coeffs(psi, T):
+    # the array branch of kinematics._ct_coeffs
+    psi = np.asarray(psi, dtype=float)
+    cs = np.cos(psi * T)
+    sn = np.sin(psi * T)
+    small = np.abs(psi) < PSI_EPS
+    if not small.any():
+        return sn / psi, (1.0 - cs) / psi, cs, sn
+    safe = np.where(small, 1.0, psi)
+    a = np.where(small, T, sn / safe)
+    b = np.where(small, psi * T * T / 2.0, (1.0 - cs) / safe)
+    return a, b, cs, sn
 
 
 def old_symmetrize(P):
@@ -416,8 +456,15 @@ class TestWrapAngle:
         with np.errstate(all="ignore"):
             assert_same_bits(sensing.wrap_angle(a), old_wrap_angle(a))
 
-    @given(angles=st.lists(st.sampled_from(EDGE_ANGLES) | st.floats(-50.0, 50.0) | all_floats,
-                           min_size=1, max_size=20))
+    # an empty array has no max, and an array strictly inside (-pi, pi)
+    # takes the early exit, which must still turn -0.0 into +0.0
+    @given(angles=st.lists(st.sampled_from(EDGE_ANGLES) | st.floats(-math.pi, math.pi)
+                           | st.floats(-50.0, 50.0) | all_floats, max_size=20))
+    @example(angles=[])
+    @example(angles=[-0.0, 0.0, float(np.nextafter(math.pi, 0.0)),
+                     -float(np.nextafter(math.pi, 0.0))])
+    @example(angles=[-0.0, math.pi])
+    @example(angles=[0.5, math.nan])
     @settings(max_examples=300, deadline=None)
     def test_array_branch_matches_old_expression(self, angles):
         a = np.array(angles)
@@ -445,4 +492,110 @@ class TestWrapAngle:
         with np.errstate(all="ignore"):
             assert math.isnan(sensing.wrap_angle(a))
             assert_same_bits(sensing.wrap_angle(a), old_wrap_angle(np.array([a]))[0])
+
+
+def chol_outcome(fn, P):
+    """The factor's bits, or the exception's class and message."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(P)
+        except (FilterNumericsError, np.linalg.LinAlgError) as exc:
+            return repr(exc)
+
+
+def assert_same_chol(P):
+    got, want = chol_outcome(gaussfilt.chol_psd, P), chol_outcome(old_chol_psd, P)
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_bits(got, want)
+    return want
+
+
+def edge_matrices(n):
+    """Covariances at and past the edge of what a Cholesky factor takes."""
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    P = A @ A.T + 0.1 * np.eye(n)
+    v = np.arange(1.0, n + 1.0)
+    out = [
+        -P, np.diag([1.0, -1.0] + [1.0] * (n - 2)), np.zeros((n, n)), -np.eye(n),
+        np.outer(v, v), np.diag([1.0] * (n - 1) + [0.0]),
+        np.diag([1e-300] * n), np.diag([1e300] * n), np.diag([5e-324] * n),
+        A,  # not symmetric: the factor reads the lower triangle
+    ]
+    for value in (math.nan, math.inf, -math.inf):
+        for i, j in ((0, 0), (1, 0), (0, 1), (n - 1, n - 1), (n - 1, 0)):
+            M = P.copy()
+            M[i, j] = value
+            out.append(M)
+        out.append(np.full((n, n), value))
+    big = np.zeros((2 * n, 2 * n))
+    big[::2, ::2] = P
+    out += [big[::2, ::2], P.T, np.asfortranarray(P)]  # views and layouts
+    return out
+
+
+matrix_entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, 5e-324]) | all_floats
+
+
+class TestCholPsd:
+    @pytest.mark.parametrize("n", [4, 5])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_psd_matches_old_expression(self, n, data):
+        assert_same_chol(data.draw(beliefs(n)).cov)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_matrix_matches_old_expression(self, n, data):
+        P = data.draw(st.lists(matrix_entries, min_size=n * n, max_size=n * n))
+        assert_same_chol(np.reshape(P, (n, n)))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_edge_matrices(self, n):
+        outcomes = [assert_same_chol(P) for P in edge_matrices(n)]
+        failed = [o for o in outcomes if isinstance(o, str)]
+        assert failed and len(failed) < len(outcomes)
+        # a singular PSD matrix that the jitter rescues
+        assert not isinstance(outcomes[4], str)
+        # OpenBLAS factors a NaN pivot without failing, so NaN at [0, 0]
+        # gives a NaN factor, not an error, from either expression
+        assert not isinstance(outcomes[10], str)
+
+    @pytest.mark.parametrize("P", [-np.eye(4), np.zeros((5, 5)), np.diag([1.0, 1.0, 1.0, -1e300]),
+                                   np.diag([math.inf, 1.0, 1.0, -1.0])],
+                             ids=["retry-fails", "zero", "negative-trace", "infinite-trace"])
+    def test_failure_raises_without_a_warning(self, P):
+        # called outside any np.errstate, as the filters call it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FilterNumericsError, match="not positive semidefinite"):
+                gaussfilt.chol_psd(P)
+
+
+CT_EDGE_RATES = [0.0, PSI_EPS, float(np.nextafter(PSI_EPS, 0.0)),
+                 float(np.nextafter(PSI_EPS, 1.0)), 5e-324, 1e-9, 1e-7, 0.05, 1.0, 1e300,
+                 math.inf, math.nan]
+CT_EDGE_RATES = [float(s * p) for p in CT_EDGE_RATES for s in (1.0, -1.0)]
+
+
+class TestCtCoeffs:
+    @given(rates=st.lists(st.sampled_from(CT_EDGE_RATES) | st.floats(-0.1, 0.1) | all_floats,
+                          max_size=12),
+           T=st.sampled_from([0.5, 1.0, 2.0]))
+    @example(rates=[], T=1.0)
+    @example(rates=[0.05, -0.05, PSI_EPS, -PSI_EPS], T=1.0)
+    @example(rates=[-0.0, 0.05], T=1.0)
+    @example(rates=[math.nan, 0.05], T=1.0)
+    @settings(max_examples=400, deadline=None)
+    def test_array_branch_matches_old_expression(self, rates, T):
+        psi = np.array(rates)
+        with np.errstate(all="ignore"):
+            got, want = kinematics._ct_coeffs(psi, T), old_ct_coeffs(psi, T)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
 

@@ -9,7 +9,15 @@ or let it compare a revision with the working tree:
     python3 tools/output_digest.py --against HEAD~
 
 It imports ``towedtma`` from the ``src/`` directory of the tree it lives in
-and hashes seven parts, printing each part's digest to stderr:
+and hashes seven parts, printing each part's digest to stderr. The
+digests hold for one numpy version, one SIMD dispatch level and one
+BLAS/LAPACK build (``OUTPUT_SCHEMA.md``), so stderr opens with those:
+numpy's version, the CPU features of its baseline and the dispatch targets
+it runs on this CPU (``NPY_DISABLE_CPU_FEATURES`` turns targets off), and
+the BLAS and LAPACK libraries it was built with. stdout holds only the
+total.
+
+The parts:
 
 * ``runs``: 15 runs (master seed 3) of every (filter, case, mode) cell;
   per run its synthesised inputs (the observer states, the absolute and
@@ -318,7 +326,30 @@ PARTS = (("runs", runs_digest), ("points", points_digest), ("kinematics", kinema
          ("files", files_digest))
 
 
+def _numpy_platform() -> list[str]:
+    """numpy's version, SIMD baseline and dispatch, and BLAS/LAPACK build."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    on = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    off = [f for f in umath.__cpu_dispatch__ if f not in on]
+    lines = [f"numpy {np.__version__}",
+             f"cpu baseline: {' '.join(umath.__cpu_baseline__) or '-'}",
+             f"cpu dispatch: {' '.join(on) or '-'} (not dispatched: {' '.join(off) or '-'})"]
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libs = [(k, f"{deps[k].get('name')} {deps[k].get('version')}") for k in ("blas", "lapack")]
+    except TypeError:  # numpy < 1.26 has no mode argument
+        libs = [(k, ",".join(dict.fromkeys(
+            np.__config__.get_info(f"{k}_opt_info").get("libraries", []))))
+            for k in ("blas", "lapack")]
+    return lines + [f"{k}: {lib or 'unknown'}" for k, lib in libs]
+
+
 def digest_all() -> int:
+    for line in _numpy_platform():
+        print(line, file=sys.stderr)
     total = hashlib.sha256()
     for name, part in PARTS:
         h = hashlib.sha256()
