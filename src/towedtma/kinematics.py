@@ -158,8 +158,6 @@ def _ct_coeffs(psi, T: float) -> tuple:
     if psi.size and np.abs(psi).min() >= PSI_EPS:
         return sn / psi, (1.0 - cs) / psi, cs, sn
     small = np.abs(psi) < PSI_EPS
-    if not small.any():
-        return sn / psi, (1.0 - cs) / psi, cs, sn
     safe = np.where(small, 1.0, psi)
     a = np.where(small, T, sn / safe)
     b = np.where(small, psiT * T / 2.0, (1.0 - cs) / safe)

@@ -561,9 +561,6 @@ class TestCholPsd:
         assert failed and len(failed) < len(outcomes)
         # a singular PSD matrix that the jitter rescues
         assert not isinstance(outcomes[4], str)
-        # OpenBLAS factors a NaN pivot without failing, so NaN at [0, 0]
-        # gives a NaN factor, not an error, from either expression
-        assert not isinstance(outcomes[10], str)
 
     @pytest.mark.parametrize("P", [-np.eye(4), np.zeros((5, 5)), np.diag([1.0, 1.0, 1.0, -1e300]),
                                    np.diag([math.inf, 1.0, 1.0, -1.0])],
