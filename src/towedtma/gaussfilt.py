@@ -126,11 +126,17 @@ def _cholesky(P: np.ndarray) -> np.ndarray:
     same floating-point error state, and gives the same bits. A failed
     factorisation sets the invalid flag (and fills the factor with NaN):
     where the wrapper raises LinAlgError this raises FloatingPointError.
-    The gufunc's module is private to numpy, so the tests pin it against
-    ``np.linalg.cholesky``.
+    It raises the same for a NaN in the lower triangle, which the
+    factorisation reads: reference LAPACK fails on a NaN pivot, but
+    OpenBLAS factors it into NaN. Every such NaN reaches the last pivot,
+    so one read of L[-1, -1] finds it. The gufunc's module is private to
+    numpy, so the tests pin it against ``np.linalg.cholesky``.
     """
     with np.errstate(all="ignore", invalid="raise"):
-        return _umath_linalg.cholesky_lo(P, signature="d->d")
+        L = _umath_linalg.cholesky_lo(P, signature="d->d")
+    if math.isnan(L[-1, -1]):
+        raise FloatingPointError("NaN pivot")
+    return L
 
 
 def chol_psd(P: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,6 +106,12 @@ def cv_mat(T: float) -> np.ndarray:
     return F
 
 
+def _cv_step(s: list, T: float) -> list:
+    # one CV step of a state given as a list of floats
+    x, y, vx, vy = s
+    return [x + T * vx, y + T * vy, vx, vy]
+
+
 def cv_transition(state: np.ndarray, T: float) -> np.ndarray:
     """Advance a 4-dim CV state by one sampling interval.
 
@@ -116,8 +123,7 @@ def cv_transition(state: np.ndarray, T: float) -> np.ndarray:
     if s.shape[-1] != 4:
         raise ValueError(f"CV state must have 4 components, got shape {s.shape}")
     if s.ndim == 1:
-        x, y, vx, vy = s.tolist()
-        return np.array([x + T * vx, y + T * vy, vx, vy])
+        return np.array(_cv_step(s.tolist(), T))
     out = s.copy()
     out[..., 0] += T * s[..., 2]
     out[..., 1] += T * s[..., 3]
@@ -164,6 +170,14 @@ def _ct_coeffs(psi, T: float) -> tuple:
     return a, b, cs, sn
 
 
+def _ct_step(s: list, T: float) -> list:
+    # one CT step of a state given as a list of floats, in the batch
+    # formulas' operation order
+    x, y, vx, vy, psi = s
+    a, b, cs, sn = _ct_coeffs(psi, T)
+    return [x + a * vx - b * vy, y + b * vx + a * vy, cs * vx - sn * vy, sn * vx + cs * vy, psi]
+
+
 def ct_transition(state: np.ndarray, T: float) -> np.ndarray:
     """Advance a 5-dim CT state [x, y, vx, vy, psi] by one interval.
 
@@ -175,17 +189,7 @@ def ct_transition(state: np.ndarray, T: float) -> np.ndarray:
     if s.shape[-1] != 5:
         raise ValueError(f"CT state must have 5 components, got shape {s.shape}")
     if s.ndim == 1:
-        x, y, vx, vy, psi = s.tolist()
-        a, b, cs, sn = _ct_coeffs(psi, T)
-        return np.array(
-            [
-                x + a * vx - b * vy,
-                y + b * vx + a * vy,
-                cs * vx - sn * vy,
-                sn * vx + cs * vy,
-                psi,
-            ]
-        )
+        return np.array(_ct_step(s.tolist(), T))
     psi = s[..., 4]
     a, b, cs, sn = _ct_coeffs(psi, T)
     vx, vy = s[..., 2], s[..., 3]
@@ -203,6 +207,31 @@ def transition(model: MotionModel, state: np.ndarray) -> np.ndarray:
     if model.kind == CV:
         return cv_transition(state, model.T)
     return ct_transition(state, model.T)
+
+
+def propagate(
+    model: MotionModel, state0: np.ndarray, steps: int, incr: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """States 0..steps of x_{k+1} = f(x_k) + incr[k], shape (steps + 1, dim).
+
+    ``incr`` is a (steps, dim) array of additive increments (process noise
+    and any input), or None for the noise-free recurrence. The recurrence
+    runs on Python floats, through the single-state transition's own step,
+    so each row has the bits of ``transition(model, row) + incr[k]``.
+    """
+    step = _cv_step if model.kind == CV else _ct_step
+    T = model.T
+    s = np.asarray(state0, dtype=float).tolist()
+    flat = list(s)  # one flat list converts faster than a list of rows
+    if incr is None:
+        for _ in range(steps):
+            s = step(s, T)
+            flat += s
+    else:
+        for d in incr.tolist():
+            s = list(map(operator.add, step(s, T), d))
+            flat += s
+    return np.array(flat).reshape(steps + 1, len(s))
 
 
 def observer_input(

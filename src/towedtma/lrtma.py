@@ -219,7 +219,8 @@ def init_bank(
     undrawn start. Infinite log-odds start a bank settled on one slot: only
     that slot's side is built, and the one belief fills both slots.
     """
-    d_r, d_th, d_s, d_c, d_psi = draw
+    # floats, so that init_side does no numpy-scalar arithmetic
+    d_r, d_th, d_s, d_c, d_psi = draw = tuple(map(float, draw))
     mirror = (d_r, 0.0 - d_th, d_s, 0.0 - d_c, 0.0 - d_psi)
     if math.isinf(log_odds):
         y, d = (pair.y1, draw) if log_odds > 0 else (pair.y2, mirror)

@@ -90,21 +90,37 @@ def bearing_jacobian(rel: np.ndarray) -> np.ndarray:
 
 def measure(
     rel: np.ndarray,
-    heading: float,
+    heading: float | np.ndarray,
     noise_std: float,
     rng: np.random.Generator,
     t: int = 0,
-) -> BearingPair:
-    """Synthesize the mirrored bearing pair for a relative state.
+) -> BearingPair | tuple[np.ndarray, np.ndarray]:
+    """Synthesize the mirrored bearing pair for a relative state, or for a block.
 
     The first slot holds wrap(gamma + nu) with nu ~ N(0, noise_std^2); the
     second holds its exact mirror about the array axis, so the same noise
     draw enters both with opposite sign.
+
+    One state of shape (n,) and its heading give the :class:`BearingPair`
+    of step ``t``. An (H, n) block of states and H headings give the two
+    slots as two arrays of H bearings. The block draws its noise as one
+    ``standard_normal(H)``, which is the stream of H single draws, so row k
+    gets the bits that the single-state call on it would give.
     """
-    theta = true_bearing(rel)
-    y1 = wrap_angle(theta + noise_std * rng.standard_normal())
-    ghost = ghost_bearing(y1, heading)
-    return BearingPair(y1=float(y1), y2=float(ghost), heading=float(heading), t=t)
+    r = np.asarray(rel, dtype=float)
+    if r.ndim == 1:
+        y1, y2 = _bearing_block(r[None], np.array([heading], dtype=float), noise_std, rng)
+        return BearingPair(y1=float(y1[0]), y2=float(y2[0]), heading=float(heading), t=t)
+    return _bearing_block(r, np.asarray(heading, dtype=float), noise_std, rng)
+
+
+def _bearing_block(rel: np.ndarray, headings: np.ndarray, noise_std: float,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    x, y = rel[:, 0], rel[:, 1]
+    if ((x == 0.0) & (y == 0.0)).any():
+        raise ZeroRangeError("bearing undefined at zero range")
+    y1 = wrap_angle(np.arctan2(x, y) + noise_std * rng.standard_normal(len(rel)))
+    return y1, wrap_angle(2.0 * headings - y1)
 
 
 def reflect_state(state: np.ndarray, axis: float) -> np.ndarray:

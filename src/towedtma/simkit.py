@@ -234,16 +234,22 @@ def gen_observer_track(cfg: ScenarioConfig) -> list[ObserverState]:
     plan alone, and is integrated once per plan: configs that differ in any
     other field share it. Each call returns a fresh list.
     """
-    return list(_observer_track(cfg.T, cfg.horizon, cfg.observer_speed_kn,
-                                cfg.observer_course0_deg, cfg.observer_course_final_deg,
-                                cfg.maneuver_start_min, cfg.maneuver_end_min))
+    return list(_observer_plan(cfg)[0])
+
+
+def _observer_plan(cfg: ScenarioConfig) -> tuple[tuple[ObserverState, ...], np.ndarray]:
+    """The cached ownship track and its read-only (horizon + 1, 5) array of
+    (x, y, vx, vy, heading) rows."""
+    return _observer_track(cfg.T, cfg.horizon, cfg.observer_speed_kn,
+                           cfg.observer_course0_deg, cfg.observer_course_final_deg,
+                           cfg.maneuver_start_min, cfg.maneuver_end_min)
 
 
 # typed: an int and a float field value of one number may integrate apart
 @functools.lru_cache(maxsize=8, typed=True)
 def _observer_track(T: float, horizon: int, speed_kn: float, course0_deg: float,
                     course_final_deg: float, start: float, end: float
-                    ) -> tuple[ObserverState, ...]:
+                    ) -> tuple[tuple[ObserverState, ...], np.ndarray]:
     speed = speed_kn * KNOT
     course = functools.partial(_course, np.deg2rad(course0_deg), np.deg2rad(course_final_deg),
                                start, end)
@@ -260,7 +266,9 @@ def _observer_track(T: float, horizon: int, speed_kn: float, course0_deg: float,
         edges = [t] + [b for b in (start, end) if t < b < t_next] + [t_next]
         for a, b in zip(edges[:-1], edges[1:]):
             pos = pos + _arc_displacement(speed, course(a), course(b), b - a)
-    return tuple(track)
+    rows = np.array([(o.x, o.y, o.vx, o.vy, o.heading) for o in track])
+    rows.setflags(write=False)
+    return tuple(track), rows
 
 
 def gen_target_track(
@@ -279,33 +287,33 @@ def gen_target_track(
         cfg.target_speed_kn * KNOT, np.deg2rad(cfg.target_course0_deg)
     )
     n = model.dim
-    track = np.zeros((cfg.horizon + 1, n))
-    track[0, 0:2] = pos0
-    track[0, 2:4] = vel0
-    track[0, 4:] = cfg.true_turn_rate
+    track0 = np.zeros(n)
+    track0[0:2] = pos0
+    track0[2:4] = vel0
+    track0[4:] = cfg.true_turn_rate
 
     Lq = None if rng is None else kinematics.process_noise_root(model)
-    if Lq is None:
-        for k in range(cfg.horizon):
-            track[k + 1] = kinematics.transition(model, track[k])
-        return track
-    # one block is the same stream as one draw per step, and the stacked
-    # matmul gives each row the bits of Lq @ noise[k] (noise @ Lq.T does not)
-    noise = rng.standard_normal((cfg.horizon, n))
-    incr = np.matmul(Lq, noise[..., None])[..., 0]
-    for k in range(cfg.horizon):
-        np.add(kinematics.transition(model, track[k]), incr[k], out=track[k + 1])
-    return track
+    incr = None
+    if Lq is not None:
+        # one block is the same stream as one draw per step, and the stacked
+        # matmul gives each row the bits of Lq @ noise[k] (noise @ Lq.T does not)
+        noise = rng.standard_normal((cfg.horizon, n))
+        incr = np.matmul(Lq, noise[..., None])[..., 0]
+    return kinematics.propagate(model, track0, cfg.horizon, incr)
 
 
-def relative_truth(target: np.ndarray, observers: list[ObserverState]) -> np.ndarray:
+def relative_truth(target: np.ndarray, observers) -> np.ndarray:
     """Relative (target minus observer) states at every sample.
 
-    Row k subtracts ``observers[k]``'s (x, y, vx, vy); rows past the last
-    observer, and a CT state's turn rate, are the target's own.
+    ``observers`` is a list of :class:`ObserverState` or an array whose
+    rows start (x, y, vx, vy). Row k subtracts ``observers[k]``'s
+    (x, y, vx, vy); rows past the last observer, and a CT state's turn
+    rate, are the target's own.
     """
+    if not isinstance(observers, np.ndarray):
+        observers = np.array([(o.x, o.y, o.vx, o.vy) for o in observers]).reshape(-1, 4)
     rel = target.copy()
-    rel[: len(observers), :4] -= [(o.x, o.y, o.vx, o.vy) for o in observers]
+    rel[: len(observers), :4] -= observers[:, :4]
     return rel
 
 
@@ -366,24 +374,26 @@ def synthesize_run(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> RunInpu
     ]
     rng_proc, rng_meas, rng_misc, rng_init = (np.random.default_rng(c) for c in children)
 
-    observers = gen_observer_track(cfg)
+    observers, obs_rows = _observer_plan(cfg)
     target = gen_target_track(cfg, rng_proc)
-    rel_all = relative_truth(target, observers)
+    rel_all = relative_truth(target, obs_rows)
 
-    sigma = cfg.sigma_theta_rad
-    pairs = [
-        sensing.measure(rel_all[k], observers[k].heading, sigma, rng_meas, t=k)
-        for k in range(1, cfg.horizon + 1)
-    ]
+    # every step's pair from one block; the swap has its own stream, so
+    # drawing it first lets the pairs be built once, in slot order
     true_slot = 2 if rng_misc.random() < 0.5 else 1
+    headings = obs_rows[1:, 4]
+    y1, y2 = sensing.measure(rel_all[1:], headings, cfg.sigma_theta_rad, rng_meas)
     if true_slot == 2:
-        pairs = [BearingPair(y1=p.y2, y2=p.y1, heading=p.heading, t=p.t) for p in pairs]
+        y1, y2 = y2, y1
+    pairs = [BearingPair(a, b, h, k)
+             for k, (a, b, h) in enumerate(zip(y1.tolist(), y2.tolist(), headings.tolist()), 1)]
 
     # One polar draw per run, which init_bank applies to both sides as
     # mirror images. A shared draw keeps the two hypotheses perfectly
     # matched until the geometry separates them, and keeps known-side runs
     # paired with the bank's true side.
-    return RunInputs(observers, target, rel_all[1:], pairs, true_slot, rng_init.standard_normal(5))
+    return RunInputs(list(observers), target, rel_all[1:], pairs, true_slot,
+                     rng_init.standard_normal(5))
 
 
 def track_run(inputs: RunInputs, cfg: ScenarioConfig, log_odds: float) -> RunRecord:

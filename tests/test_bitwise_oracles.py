@@ -9,15 +9,19 @@ cosine from libm, which must round them as numpy does. ``chol_psd``
 calls the LAPACK gufunc behind ``np.linalg.cholesky`` from numpy's private
 ``_umath_linalg`` module, and the array branches of ``wrap_angle`` and
 ``kinematics._ct_coeffs`` take an early exit when one reduction shows the
-common case. Each ``old_*`` function below is the earlier expression,
-verbatim; the tests require the same bits from both, signs of zeros and
-NaN payloads included, or the same exception class and message.
-One exception: where two NaNs meet in one operation of ``cv_transition``,
-IEEE 754 leaves the result's payload to the implementation, and Python's
-float ops and numpy's loops pick differently, so there the result need
-only be a NaN.
+common case. A run's synthesis draws its bearings as one block and runs
+its truth on floats. Each ``old_*`` function below is the earlier
+expression, verbatim; the tests require the same bits from both, signs
+of zeros and NaN payloads included, or the same exception class and
+message, and for the synthesis the same state of every generator.
+Two exceptions: where two NaNs meet in one operation of
+``cv_transition``, IEEE 754 leaves the result's payload to the
+implementation, and Python's float ops and numpy's loops pick
+differently, so there the result need only be a NaN; and ``chol_psd``
+fails on a NaN pivot that OpenBLAS factors into NaN.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from towedtma import gaussfilt, kinematics, lrtma, sensing
+from towedtma import gaussfilt, kinematics, lrtma, sensing, simkit
 from towedtma.gaussfilt import (
     BEARING,
     CKF,
@@ -41,6 +45,8 @@ from towedtma.gaussfilt import (
     shifted_rayleigh_moments,
     srf_matched_noise,
 )
+from towedtma.kinematics import CT, CV, KNOT
+from towedtma.sensing import BearingPair
 
 TWO_PI = sensing.TWO_PI
 PSI_EPS = kinematics.PSI_EPS
@@ -503,14 +509,27 @@ def chol_outcome(fn, P):
             return repr(exc)
 
 
+NOT_PSD = repr(FilterNumericsError("covariance is not positive semidefinite"))
+
+
 def assert_same_chol(P):
     got, want = chol_outcome(gaussfilt.chol_psd, P), chol_outcome(old_chol_psd, P)
+    if not isinstance(want, str) and np.isnan(want).any():
+        # OpenBLAS factors a NaN pivot into NaN where reference LAPACK
+        # fails; chol_psd fails on both. Every NaN of such a factor reaches
+        # its last pivot, the one entry chol_psd reads.
+        assert math.isnan(want[-1, -1]), want
+        want = NOT_PSD
     assert type(got) is type(want), (got, want)
     if isinstance(want, str):
         assert got == want
     else:
         assert_same_bits(got, want)
     return want
+
+
+def edge_positions(n):
+    return ((0, 0), (1, 0), (0, 1), (n - 1, n - 1), (n - 1, 0))
 
 
 def edge_matrices(n):
@@ -526,7 +545,7 @@ def edge_matrices(n):
         A,  # not symmetric: the factor reads the lower triangle
     ]
     for value in (math.nan, math.inf, -math.inf):
-        for i, j in ((0, 0), (1, 0), (0, 1), (n - 1, n - 1), (n - 1, 0)):
+        for i, j in edge_positions(n):
             M = P.copy()
             M[i, j] = value
             out.append(M)
@@ -561,10 +580,18 @@ class TestCholPsd:
         assert failed and len(failed) < len(outcomes)
         # a singular PSD matrix that the jitter rescues
         assert not isinstance(outcomes[4], str)
+        # a NaN in the lower triangle, which the factorisation reads, fails
+        # on every LAPACK build (an all-NaN matrix too); one above it is
+        # not read
+        nan_outcomes = outcomes[10:16]
+        failed_on_nan = [isinstance(o, str) and o == NOT_PSD for o in nan_outcomes]
+        assert failed_on_nan == [i >= j for i, j in edge_positions(n)] + [True]
 
     @pytest.mark.parametrize("P", [-np.eye(4), np.zeros((5, 5)), np.diag([1.0, 1.0, 1.0, -1e300]),
-                                   np.diag([math.inf, 1.0, 1.0, -1.0])],
-                             ids=["retry-fails", "zero", "negative-trace", "infinite-trace"])
+                                   np.diag([math.inf, 1.0, 1.0, -1.0]),
+                                   np.diag([math.nan, 1.0, 1.0, 1.0])],
+                             ids=["retry-fails", "zero", "negative-trace", "infinite-trace",
+                                  "nan-pivot"])
     def test_failure_raises_without_a_warning(self, P):
         # called outside any np.errstate, as the filters call it
         with warnings.catch_warnings():
@@ -596,3 +623,209 @@ class TestCtCoeffs:
         for g, w in zip(got, want):
             assert_same_bits(g, w)
 
+
+
+def old_measure(rel, heading, noise_std, rng, t=0):
+    """Synthesize the mirrored bearing pair for a relative state.
+
+    The first slot holds wrap(gamma + nu) with nu ~ N(0, noise_std^2); the
+    second holds its exact mirror about the array axis, so the same noise
+    draw enters both with opposite sign.
+    """
+    theta = sensing.true_bearing(rel)
+    y1 = sensing.wrap_angle(theta + noise_std * rng.standard_normal())
+    ghost = sensing.ghost_bearing(y1, heading)
+    return BearingPair(y1=float(y1), y2=float(ghost), heading=float(heading), t=t)
+
+
+def old_gen_target_track(cfg, rng=None):
+    """Absolute target states, shape (horizon + 1, model dim).
+
+    The nominal trajectory is deterministic; passing a generator adds the
+    model's process noise on top, one standard-normal row per step.
+    """
+    model = cfg.motion_model()
+    obs0 = np.zeros(2)
+    th0 = np.deg2rad(cfg.initial_bearing_deg)
+    pos0 = obs0 + cfg.initial_range_km * np.array([np.sin(th0), np.cos(th0)])
+    vel0 = kinematics.vel_from_course(
+        cfg.target_speed_kn * KNOT, np.deg2rad(cfg.target_course0_deg)
+    )
+    n = model.dim
+    track = np.zeros((cfg.horizon + 1, n))
+    track[0, 0:2] = pos0
+    track[0, 2:4] = vel0
+    track[0, 4:] = cfg.true_turn_rate
+
+    Lq = None if rng is None else kinematics.process_noise_root(model)
+    if Lq is None:
+        for k in range(cfg.horizon):
+            track[k + 1] = kinematics.transition(model, track[k])
+        return track
+    # one block is the same stream as one draw per step, and the stacked
+    # matmul gives each row the bits of Lq @ noise[k] (noise @ Lq.T does not)
+    noise = rng.standard_normal((cfg.horizon, n))
+    incr = np.matmul(Lq, noise[..., None])[..., 0]
+    for k in range(cfg.horizon):
+        np.add(kinematics.transition(model, track[k]), incr[k], out=track[k + 1])
+    return track
+
+
+def old_synthesize_run(cfg, seed):
+    """One run's inputs from four child streams of ``seed``: the truth's
+    process noise, the bearing noise, the slot swap and the polar draw."""
+    # derive the child streams statelessly: SeedSequence.spawn would mutate
+    # the caller's object and break same-seed reproducibility
+    children = [
+        np.random.SeedSequence(entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (j,))
+        for j in range(4)
+    ]
+    rng_proc, rng_meas, rng_misc, rng_init = (np.random.default_rng(c) for c in children)
+
+    observers = simkit.gen_observer_track(cfg)
+    target = old_gen_target_track(cfg, rng_proc)
+    rel_all = simkit.relative_truth(target, observers)
+
+    sigma = cfg.sigma_theta_rad
+    pairs = [
+        old_measure(rel_all[k], observers[k].heading, sigma, rng_meas, t=k)
+        for k in range(1, cfg.horizon + 1)
+    ]
+    true_slot = 2 if rng_misc.random() < 0.5 else 1
+    if true_slot == 2:
+        pairs = [BearingPair(y1=p.y2, y2=p.y1, heading=p.heading, t=p.t) for p in pairs]
+
+    # One polar draw per run, which init_bank applies to both sides as
+    # mirror images. A shared draw keeps the two hypotheses perfectly
+    # matched until the geometry separates them, and keeps known-side runs
+    # paired with the bank's true side.
+    return simkit.RunInputs(observers, target, rel_all[1:], pairs, true_slot,
+                            rng_init.standard_normal(5))
+
+
+def pair_bits(pairs):
+    return np.array([(p.y1, p.y2, p.heading) for p in pairs]), [p.t for p in pairs]
+
+
+def assert_same_pairs(got, want):
+    assert all(type(p) is BearingPair for p in got)
+    (g, gt), (w, wt) = pair_bits(got), pair_bits(want)
+    assert_same_bits(g, w)
+    assert gt == wt
+
+
+def synthesize_recording_streams(fn, cfg, seed):
+    """``fn(cfg, seed)`` and the generators it made, in the order it made them."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.random, "default_rng", recording)
+        return fn(cfg, seed), made
+
+
+def outcome_of(fn, *args):
+    """``fn(*args)``, or the exception it raised as its class and message."""
+    try:
+        return fn(*args)
+    except sensing.ZeroRangeError as exc:
+        return repr(exc)
+
+
+# the bearings of this geometry cross +/-pi: the target starts south of the
+# ownship and passes behind it heading west
+CROSSING = dict(initial_bearing_deg=172.0, target_course0_deg=-90.0, initial_range_km=3.0)
+
+
+@st.composite
+def synthesis_configs(draw):
+    horizon = draw(st.integers(2, 40))
+    T = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    sigma = draw(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 20.0))
+    noise = draw(st.sampled_from(["default", "zero", "strong"]))
+    q = {"default": {}, "zero": dict(q1=0.0, q2=0.0), "strong": dict(q1=1e-3, q2=1e-4)}[noise]
+    geometry = draw(st.sampled_from([{}, CROSSING]) | st.builds(
+        lambda b, c: dict(initial_bearing_deg=b, target_course0_deg=c),
+        st.floats(-360.0, 360.0), st.floats(-360.0, 360.0)))
+    return simkit.ScenarioConfig(
+        model_kind=draw(st.sampled_from([CV, CT])), T=T, horizon=horizon,
+        maneuver_start_min=0.3 * horizon * T, maneuver_end_min=0.6 * horizon * T,
+        sigma_theta_meas_deg=sigma, **q, **geometry)
+
+
+class TestSynthesis:
+    @given(cfg=synthesis_configs(), master=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6))
+    @example(cfg=simkit.ScenarioConfig(), master=0, index=0)
+    @example(cfg=simkit.ScenarioConfig(model_kind=CT), master=0, index=3)
+    @example(cfg=simkit.ScenarioConfig(sigma_theta_meas_deg=0.0, q1=0.0, q2=0.0), master=5, index=1)
+    @example(cfg=simkit.ScenarioConfig(sigma_theta_meas_deg=0.5, **CROSSING), master=1, index=2)
+    @settings(max_examples=200, deadline=None)
+    def test_run_inputs_match_old_synthesis(self, cfg, master, index):
+        seed = simkit.run_seed(master, index)
+        got, got_rngs = synthesize_recording_streams(simkit.synthesize_run, cfg, seed)
+        want, want_rngs = synthesize_recording_streams(old_synthesize_run, cfg, seed)
+        assert [f.name for f in dataclasses.fields(got)] == [
+            "observers", "target_abs", "truth_rel", "measurements", "true_slot", "polar_draw"]
+        assert type(got.observers) is list and got.observers == want.observers
+        assert_same_bits([dataclasses.astuple(o) for o in got.observers],
+                         [dataclasses.astuple(o) for o in want.observers])
+        for name in ("target_abs", "truth_rel", "polar_draw"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        assert_same_pairs(got.measurements, want.measurements)
+        assert got.true_slot == want.true_slot
+        # each child stream is left where the old synthesis left it
+        assert len(got_rngs) == len(want_rngs) == 4
+        for g, w in zip(got_rngs, want_rngs):
+            assert g.bit_generator.state == w.bit_generator.state
+
+    def test_crossing_geometry_crosses_pi(self):
+        inputs = simkit.synthesize_run(
+            simkit.ScenarioConfig(sigma_theta_meas_deg=0.0, q1=0.0, q2=0.0, **CROSSING),
+            simkit.run_seed(0, 0))
+        bearings = [p.y1 if inputs.true_slot == 1 else p.y2 for p in inputs.measurements]
+        assert max(bearings) > 3.0 and min(bearings) < -3.0
+
+    @given(x=st.sampled_from([0.0, -0.0, 3.0, -3.0, 1e-300, 5e-324, 1e300]) | all_floats,
+           y=st.sampled_from([0.0, -0.0, 4.0, -4.0, -1e-300, 1e300]) | all_floats,
+           heading=st.sampled_from([0.0, math.pi, -3.0, 3.1]) | st.floats(-math.pi, math.pi),
+           sigma=st.sampled_from([0.0, 0.02]) | st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1), t=st.integers(0, 100))
+    # -0.0 east of the array at sigma 0: the wrap must give +0.0
+    @example(x=-0.0, y=4.0, heading=0.0, sigma=0.0, seed=0, t=1)
+    @example(x=-0.0, y=-4.0, heading=math.pi, sigma=0.0, seed=1, t=1)
+    @settings(max_examples=400, deadline=None)
+    def test_single_state_matches_old_scalar_path(self, x, y, heading, sigma, seed, t):
+        rel = np.array([x, y, 0.1, -0.2])
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            got, want = outcome_of(sensing.measure, rel, heading, sigma, rng_new, t), \
+                outcome_of(old_measure, rel, heading, sigma, rng_old, t)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert_same_pairs([got], [want])
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @given(rows=st.lists(st.tuples(st.floats(-20.0, 20.0) | st.sampled_from([0.0, -0.0]),
+                                   st.floats(-20.0, 20.0) | st.sampled_from([-0.0, -1.0]),
+                                   st.floats(-math.pi, math.pi)), min_size=1, max_size=40),
+           sigma=st.sampled_from([0.0, 0.02]) | st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_block_is_the_stream_of_single_states(self, rows, sigma, seed):
+        rel = np.array([(x, y, 0.0, 0.0) for x, y, _ in rows])
+        headings = np.array([h for _, _, h in rows])
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            y1, y2 = sensing.measure(rel, headings, sigma, rng_new)
+        except sensing.ZeroRangeError:
+            assert any(x == 0.0 and y == 0.0 for x, y, _ in rows)
+            return
+        want = [old_measure(r, h, sigma, rng_old) for r, h in zip(rel, headings.tolist())]
+        assert_same_bits(y1, [p.y1 for p in want])
+        assert_same_bits(y2, [p.y2 for p in want])
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state

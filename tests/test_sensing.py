@@ -147,8 +147,8 @@ class TestMeasure:
         class FixedRng:
             def __init__(self, v):
                 self.v = v
-            def standard_normal(self):
-                return self.v
+            def standard_normal(self, size):
+                return np.full(size, self.v)
 
         p = measure(rel, h, 0.02, FixedRng(0.7))
         p_ref = measure(reflect_state(rel, h), h, 0.02, FixedRng(-0.7))
