@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -35,6 +35,9 @@ CKF = "ckf"
 GHF = "ghf"
 SRF = "srf"
 FILTER_KINDS = (EKF, UKF, CKF, GHF, SRF)
+# The kinds whose predict and update also take a stacked belief: the point
+# filters, whose per-side arrays stack along the side axis bit for bit
+STACKING_KINDS = frozenset({UKF, CKF, GHF})
 
 
 class FilterNumericsError(RuntimeError):
@@ -43,7 +46,12 @@ class FilterNumericsError(RuntimeError):
 
 @dataclass
 class GaussianBelief:
-    """Mean vector and covariance matrix of a state estimate."""
+    """Mean vector and covariance matrix of a state estimate.
+
+    A stacked belief holds one estimate per side of a filter bank along a
+    leading axis: mean (B, n) and covariance (B, n, n). ``dim`` is the last
+    axis, n, in both forms.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -51,29 +59,71 @@ class GaussianBelief:
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        n = self.mean.shape[0]
-        if self.cov.shape != (n, n):
+        shape = self.mean.shape
+        if self.cov.shape != shape + shape[-1:] or len(shape) not in (1, 2):
             raise ValueError(
-                f"covariance shape {self.cov.shape} does not match state dim {n}"
+                f"mean shape {shape} with covariance shape {self.cov.shape}: "
+                "want (n,) with (n, n), or (B, n) with (B, n, n)"
             )
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
+
+    @classmethod
+    def stack(cls, beliefs: Sequence[GaussianBelief]) -> GaussianBelief:
+        """The stacked belief of B single-side beliefs, copied in order.
+
+        Its :attr:`sides` are those beliefs themselves.
+        """
+        means, covs = [], []
+        for b in beliefs:
+            means.append(b.mean)
+            covs.append(b.cov)
+        out = cls(np.array(means), np.array(covs))
+        out.sides = list(beliefs)
+        return out
+
+    @functools.cached_property
+    def sides(self) -> list[GaussianBelief]:
+        """The single-side beliefs of a stacked belief, as views of its rows."""
+        if self.mean.ndim == 1:
+            raise ValueError("a single-side belief has no sides")
+        return _side_views(self.mean, self.cov)
+
+
+def _side_views(mean: np.ndarray, cov: np.ndarray) -> list[GaussianBelief]:
+    # the rows of a checked stacked belief, so built without the checks
+    sides = []
+    for m, P in zip(mean, cov):
+        side = object.__new__(GaussianBelief)
+        side.mean, side.cov = m, P
+        sides.append(side)
+    return sides
 
 
 @dataclass
 class WeightedPointSet:
-    """Deterministic sample points (rows) with their weights."""
+    """Deterministic sample points (rows) with their weights.
+
+    A stacked set holds one point set per side along a leading axis,
+    points (B, p, n), sharing the p weights.
+    """
 
     points: np.ndarray
     weights: np.ndarray
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted mean and covariance of the points."""
-        mean = self.weights @ self.points
-        d = self.points - mean
-        return mean, (self.weights[:, None] * d).T @ d
+        """Weighted mean and covariance of the points, one pair per side if stacked."""
+        return _moments(self.points, self.weights)
+
+
+def _moments(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # each side's products are per-matrix matmul calls, which give a
+    # stacked set each side's bits
+    mean = weights @ points
+    d = points - mean[..., None, :]
+    return mean, (weights[:, None] * d).swapaxes(-1, -2) @ d
 
 
 @dataclass
@@ -114,7 +164,8 @@ def normal_log_pdf(resid: float, var: float) -> float:
 
 
 def symmetrize(P: np.ndarray) -> np.ndarray:
-    S = P + P.T
+    """(P + P^T) / 2 of a matrix, or of each matrix of a stack."""
+    S = P + (P.T if P.ndim == 2 else P.swapaxes(-1, -2))
     S /= 2.0
     return S
 
@@ -203,6 +254,23 @@ def points_for(kind: str, belief: GaussianBelief) -> WeightedPointSet:
     return WeightedPointSet(points=belief.mean + xi @ chol_psd(belief.cov).T, weights=w)
 
 
+def _side_points(kind: str, belief: GaussianBelief) -> WeightedPointSet:
+    """The point sets of each side of a stacked belief, stacked to (B, p, n).
+
+    Each side is factored on its own, by :func:`points_for` on its own
+    single-side belief.
+    """
+    points = []
+    for side in belief.sides:
+        ps = points_for(kind, side)
+        points.append(ps.points)
+    return WeightedPointSet(np.array(points), ps.weights)
+
+
+def _not_stacking(kind: str) -> ValueError:
+    return ValueError(f"filter kind {kind!r} does not take a stacked belief")
+
+
 def predict(
     belief: GaussianBelief,
     model: MotionModel,
@@ -218,6 +286,10 @@ def predict(
     rebuild the first two moments, and subtract the input from the
     reconstructed mean. The SRF uses the exact linear propagation for a
     linear model and cubature points otherwise.
+
+    The kinds in :data:`STACKING_KINDS` also take a stacked belief, with
+    one input row per side, u (B, n), and give the stacked prior. Each side
+    keeps its own point set; one transition moves every side's points.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
@@ -225,27 +297,37 @@ def predict(
     if n != model.dim:
         raise ValueError(f"belief dim {n} does not match model dim {model.dim}")
     Q = kinematics.process_noise_cov(model)
+    stacked = belief.mean.ndim > 1
+    if stacked and kind not in STACKING_KINDS:
+        raise _not_stacking(kind)
 
     if kind == EKF or (kind == SRF and model.linear):
         F = kinematics.process_jacobian(model, belief.mean)
         mean = kinematics.transition(model, belief.mean) - u
         cov = F @ belief.cov @ F.T + Q
+        return GaussianBelief(mean=mean, cov=symmetrize(cov))
+    if stacked:
+        ps = _side_points(kind, belief)
+        # every side's points as the rows of one block, which one transition moves
+        prop = kinematics.transition(model, ps.points.reshape(-1, n)).reshape(ps.points.shape)
     else:
         ps = points_for(kind, belief)
-        prop = WeightedPointSet(kinematics.transition(model, ps.points), ps.weights)
-        mean, cov = prop.moments()
-        mean = mean - u
-        cov = cov + Q
-    return GaussianBelief(mean=mean, cov=symmetrize(cov))
+        prop = kinematics.transition(model, ps.points)
+    mean, cov = _moments(prop, ps.weights)
+    prior = GaussianBelief(mean=mean - u, cov=symmetrize(cov + Q))
+    if stacked:
+        # each side's own belief, which update factors
+        prior.sides = _side_views(prior.mean, prior.cov)
+    return prior
 
 
 def update(
     belief: GaussianBelief,
-    y: float,
+    y: float | Sequence[float],
     noise_std: float,
     kind: str,
     meas: MeasurementModel = BEARING,
-) -> UpdateOutcome:
+) -> UpdateOutcome | list[UpdateOutcome]:
     """Measurement update of any filter kind.
 
     The SRF runs :func:`srf_update`, which is defined for bearings only.
@@ -253,31 +335,70 @@ def update(
     angular models are wrapped before the gain is applied, and the reported
     log-likelihood is the Gaussian density of that innovation. Raises
     FilterNumericsError on a nonpositive innovation covariance.
+
+    The kinds in :data:`STACKING_KINDS` also take a stacked belief with a
+    sequence ``y`` of B measurements, and give a list of B outcomes. The
+    predicted measurements and their moments take one pass over every
+    side's points, each dot a per-side ``(1, p) @ (p, 1)`` product; the
+    gain and posterior are formed side by side, the first failing side
+    raising.
     """
+    m, P = belief.mean, belief.cov
+    if m.ndim > 1 and kind not in STACKING_KINDS:
+        raise _not_stacking(kind)
     if kind == SRF:
         if meas is not BEARING:
             raise ValueError("the shifted Rayleigh filter updates bearings only")
         return srf_update(belief, y, noise_std)
     R = noise_std**2
-    m, P = belief.mean, belief.cov
 
     if kind == EKF:
         H = meas.jac(m)
         yhat = float(meas.fn(m))
         Pxy = P @ H
         Pyy = float(H @ Pxy) + R
-    else:
-        ps = points_for(kind, belief)
-        g = np.asarray(meas.fn(ps.points), dtype=float)
-        if meas.angular:
-            ref = float(meas.fn(m))
-            g = ref + sensing.wrap_angle(g - ref)
-        yhat = float(ps.weights @ g)
-        dy = g - yhat
-        dx = ps.points - m
-        Pyy = float(ps.weights @ (dy * dy)) + R
-        Pxy = (ps.weights * dy) @ dx
+        return _gain_update(m, P, y, yhat, Pyy, Pxy, meas)
 
+    stacked = m.ndim > 1
+    ps = _side_points(kind, belief) if stacked else points_for(kind, belief)
+    X, w = ps.points, ps.weights
+    # With a side axis, each side's mean is a row (B, 1, n) and its dots
+    # (B, 1, p) @ (p, 1) products, so every per-side scalar is a column
+    # (B, 1) that broadcasts over that side's points. A single belief needs
+    # no new axis: indexing with ... adds none.
+    col, row = ((..., None), (..., None, slice(None))) if stacked else (..., ...)
+    mr = m[row]
+    g = np.asarray(meas.fn(X), dtype=float)
+    if meas.angular:
+        ref = meas.fn(mr)
+        g = ref + sensing.wrap_angle(g - ref)
+    yhat = w @ g[col]
+    dy = g - yhat
+    dx = X - mr
+    Pyy = w @ (dy * dy)[col]
+    Pxy = (w * dy)[row] @ dx
+    if not stacked:
+        return _gain_update(m, P, y, float(yhat), float(Pyy) + R, Pxy, meas)
+    sides = belief.sides
+    if len(y) != len(sides):
+        raise ValueError(f"{len(y)} measurements for {len(sides)} sides")
+    outs = []
+    per_side = zip(sides, y, yhat.tolist(), Pyy.tolist(), Pxy)
+    for side, y_k, (yhat_k,), (Pyy_k,), (Pxy_k,) in per_side:
+        outs.append(_gain_update(side.mean, side.cov, y_k, yhat_k, Pyy_k + R, Pxy_k, meas))
+    return outs
+
+
+def _gain_update(
+    m: np.ndarray,
+    P: np.ndarray,
+    y: float,
+    yhat: float,
+    Pyy: float,
+    Pxy: np.ndarray,
+    meas: MeasurementModel,
+) -> UpdateOutcome:
+    """The gain, posterior and log-likelihood of one side's scalar update."""
     if Pyy <= 0 or not math.isfinite(Pyy):
         raise FilterNumericsError(f"innovation covariance {Pyy} is not positive")
     innov = sensing.wrap_angle(y - yhat) if meas.angular else y - yhat

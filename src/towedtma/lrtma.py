@@ -254,6 +254,37 @@ def side_step(
     return out
 
 
+# Failures of a stacked step that the side-by-side step redoes (ZeroRangeError
+# and LinAlgError are ValueErrors, FloatingPointError an ArithmeticError)
+_REDONE = (gaussfilt.FilterNumericsError, ValueError, ArithmeticError)
+
+
+def _stacked_sides(
+    bank: FilterBankState,
+    meas: BearingPair,
+    obs_prev: ObserverState,
+    obs_now: ObserverState,
+    model: MotionModel,
+    filter_kind: str,
+    noise_std: float,
+) -> list[UpdateOutcome]:
+    """:func:`side_step` on both sides of a resolved bank, through one stacked
+    predict and one stacked update.
+
+    Each side keeps its own observer input, point sets and bearing, so each
+    outcome has the bits of its side's :func:`side_step`.
+    """
+    b1, b2 = bank.belief1, bank.belief2
+    u = np.array([kinematics.observer_input(obs_prev, obs_now, model, b1.mean),
+                  kinematics.observer_input(obs_prev, obs_now, model, b2.mean)])
+    prior = gaussfilt.predict(GaussianBelief.stack((b1, b2)), model, u, filter_kind)
+    outs = gaussfilt.update(prior, (meas.y1, meas.y2), noise_std, filter_kind)
+    for out in outs:
+        if not all(map(math.isfinite, out.posterior.mean.tolist())):
+            raise gaussfilt.FilterNumericsError("non-finite estimate")
+    return outs
+
+
 def step(
     bank: FilterBankState,
     meas: BearingPair,
@@ -268,15 +299,26 @@ def step(
     A settled bank (infinite log-odds) steps only its live side, on that
     slot's bearing, and keeps its log-odds; a side of weight 0 cannot move
     the fused output. Both slots then hold the live side's posterior.
-    Numerical failures propagate as exceptions; the Monte Carlo harness
-    flags the run as diverged rather than aborting.
+    A resolved bank of a kind in :data:`gaussfilt.STACKING_KINDS` steps its
+    sides stacked (:func:`_stacked_sides`). A failure there is redone side
+    by side, so the step raises what the side-by-side step raises first:
+    side 1's predict, then its update, then side 2's. Numerical failures
+    propagate as exceptions; the Monte Carlo harness flags the run as
+    diverged rather than aborting.
     """
     args = (obs_prev, obs_now, model, filter_kind, noise_std)
     if math.isinf(bank.log_odds):
         live, y = (bank.belief1, meas.y1) if bank.log_odds > 0 else (bank.belief2, meas.y2)
         post = side_step(live, y, *args).posterior
         return FilterBankState(post, post, bank.log_odds, bank.t + 1)
-    out1 = side_step(bank.belief1, meas.y1, *args)
-    out2 = side_step(bank.belief2, meas.y2, *args)
+    outs = None
+    if filter_kind in gaussfilt.STACKING_KINDS:
+        try:
+            outs = _stacked_sides(bank, meas, *args)
+        except _REDONE:
+            pass
+    if outs is None:
+        outs = side_step(bank.belief1, meas.y1, *args), side_step(bank.belief2, meas.y2, *args)
+    out1, out2 = outs
     log_odds = update_log_odds(bank.log_odds, out1.log_likelihood, out2.log_likelihood)
     return FilterBankState(out1.posterior, out2.posterior, log_odds, bank.t + 1)

@@ -70,11 +70,17 @@ def test_harness_wrappers_tag_the_tracker(harness):
     assert set(spans.tags_of("gaussfilt.update")) == tags
     assert set(spans.tags_of("gaussfilt.srf_update")) == {"srf.cv"}
     assert set(spans.tags_of("gaussfilt.points_for")) == {"ckf", "ghf"}
-    # one state, a 2n = 10 cubature set (CT) and a 3^4 = 81 GH grid (CV)
-    assert set(spans.tags_of("kinematics.transition")) == {"1", "10", "81"}
+    # one state (EKF, SRF), and a resolved point filter's one transition
+    # of both sides' point sets: 2 x 10 cubature points (CT), 2 x 81 GH
+    # points (CV)
+    assert set(spans.tags_of("kinematics.transition")) == {"1", "20", "162"}
     steps = len(CELLS) * (cfg.horizon - 1) + 1
     assert spans.count("lrtma.step") == steps
     assert spans.count("kinematics.observer_input") == 2 * steps
+    # each side of a resolved point filter still factors its own belief
+    # twice a step: in predict and in update
+    point_steps = sum(f in ("ckf", "ghf") for f, _ in CELLS) * (cfg.horizon - 1)
+    assert spans.count("gaussfilt.chol_psd") == 4 * point_steps
     assert spans.count("kinematics.process_jacobian") > 0
     assert spans.count("simkit.simulate_run") == len(CELLS)
     # a run draws its bearings as one block

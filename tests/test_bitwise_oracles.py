@@ -13,7 +13,11 @@ common case. A run's synthesis draws its bearings as one block and runs
 its truth on floats. Each ``old_*`` function below is the earlier
 expression, verbatim; the tests require the same bits from both, signs
 of zeros and NaN payloads included, or the same exception class and
-message, and for the synthesis the same state of every generator.
+message, and for the synthesis the same state of every generator. A
+resolved point-filter bank steps both sides through one stacked predict
+and update; the ``parent_*`` functions are the side-by-side step it
+replaced, verbatim but for the moments and ``symmetrize``, written out as
+they were.
 Two exceptions: where two NaNs meet in one operation of
 ``cv_transition``, IEEE 754 leaves the result's payload to the
 implementation, and Python's float ops and numpy's loops pick
@@ -512,14 +516,28 @@ def chol_outcome(fn, P):
 NOT_PSD = repr(FilterNumericsError("covariance is not positive semidefinite"))
 
 
+def old_jitter_retry(P):
+    """old_chol_psd after a failed first factorisation: its jittered retry,
+    with a NaN factor counted as the failure it is on reference LAPACK."""
+    n = P.shape[0]
+    jitter = 1e-10 * np.trace(P) / n
+    if not np.isfinite(jitter) or jitter <= 0:
+        raise FilterNumericsError("covariance is not positive semidefinite")
+    L = old_chol_psd(P + jitter * np.eye(n))
+    if np.isnan(L).any():
+        raise FilterNumericsError("covariance is not positive semidefinite")
+    return L
+
+
 def assert_same_chol(P):
     got, want = chol_outcome(gaussfilt.chol_psd, P), chol_outcome(old_chol_psd, P)
     if not isinstance(want, str) and np.isnan(want).any():
         # OpenBLAS factors a NaN pivot into NaN where reference LAPACK
-        # fails; chol_psd fails on both. Every NaN of such a factor reaches
-        # its last pivot, the one entry chol_psd reads.
+        # fails; chol_psd fails on both, and so retries with its jitter.
+        # Every NaN of such a factor reaches its last pivot, the one entry
+        # chol_psd reads.
         assert math.isnan(want[-1, -1]), want
-        want = NOT_PSD
+        want = chol_outcome(old_jitter_retry, P)
     assert type(got) is type(want), (got, want)
     if isinstance(want, str):
         assert got == want
@@ -572,6 +590,17 @@ class TestCholPsd:
     def test_any_matrix_matches_old_expression(self, n, data):
         P = data.draw(st.lists(matrix_entries, min_size=n * n, max_size=n * n))
         assert_same_chol(np.reshape(P, (n, n)))
+
+    def test_overflowing_pivot_takes_the_jittered_retry(self):
+        # a subnormal pivot under a large entry overflows the factor into a
+        # NaN last pivot; the trace makes the jitter large enough to factor
+        P = np.zeros((5, 5))
+        P[0, 0], P[1, 1], P[2, 2], P[3, 3] = 1.0, 5e-324, 1.0, 1e300
+        P[3, 1] = 3.99583814440447e146
+        with np.errstate(all="ignore"):
+            assert math.isnan(old_chol_psd(P)[-1, -1])
+        L = assert_same_chol(P)
+        assert not isinstance(L, str) and np.isfinite(L).all()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_edge_matrices(self, n):
@@ -829,3 +858,301 @@ class TestSynthesis:
         assert_same_bits(y1, [p.y1 for p in want])
         assert_same_bits(y2, [p.y2 for p in want])
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def parent_moments(points, weights):
+    """Weighted mean and covariance of the points."""
+    mean = weights @ points
+    d = points - mean
+    return mean, (weights[:, None] * d).T @ d
+
+
+def parent_symmetrize(P):
+    S = P + P.T
+    S /= 2.0
+    return S
+
+
+def parent_predict(belief, model, u, kind):
+    """Time update through the motion model, minus the observer input.
+
+    The input ``u`` is required: an array of the model's dimension, zeros
+    for an observer that moves by the model's own dynamics. The EKF
+    propagates the mean through the transition and the covariance through
+    the process Jacobian. Sample-point filters propagate their point set,
+    rebuild the first two moments, and subtract the input from the
+    reconstructed mean. The SRF uses the exact linear propagation for a
+    linear model and cubature points otherwise.
+    """
+    if kind not in gaussfilt.FILTER_KINDS:
+        raise ValueError(f"unknown filter kind {kind!r}")
+    n = belief.dim
+    if n != model.dim:
+        raise ValueError(f"belief dim {n} does not match model dim {model.dim}")
+    Q = kinematics.process_noise_cov(model)
+
+    if kind == EKF or (kind == gaussfilt.SRF and model.linear):
+        F = kinematics.process_jacobian(model, belief.mean)
+        mean = kinematics.transition(model, belief.mean) - u
+        cov = F @ belief.cov @ F.T + Q
+    else:
+        ps = points_for(kind, belief)
+        mean, cov = parent_moments(kinematics.transition(model, ps.points), ps.weights)
+        mean = mean - u
+        cov = cov + Q
+    return GaussianBelief(mean=mean, cov=parent_symmetrize(cov))
+
+
+def parent_update(belief, y, noise_std, kind, meas=BEARING):
+    """Measurement update of any filter kind."""
+    if kind == gaussfilt.SRF:
+        if meas is not BEARING:
+            raise ValueError("the shifted Rayleigh filter updates bearings only")
+        return gaussfilt.srf_update(belief, y, noise_std)
+    R = noise_std**2
+    m, P = belief.mean, belief.cov
+
+    if kind == EKF:
+        H = meas.jac(m)
+        yhat = float(meas.fn(m))
+        Pxy = P @ H
+        Pyy = float(H @ Pxy) + R
+    else:
+        ps = points_for(kind, belief)
+        g = np.asarray(meas.fn(ps.points), dtype=float)
+        if meas.angular:
+            ref = float(meas.fn(m))
+            g = ref + sensing.wrap_angle(g - ref)
+        yhat = float(ps.weights @ g)
+        dy = g - yhat
+        dx = ps.points - m
+        Pyy = float(ps.weights @ (dy * dy)) + R
+        Pxy = (ps.weights * dy) @ dx
+
+    if Pyy <= 0 or not math.isfinite(Pyy):
+        raise FilterNumericsError(f"innovation covariance {Pyy} is not positive")
+    innov = sensing.wrap_angle(y - yhat) if meas.angular else y - yhat
+    K = Pxy / Pyy
+    mean = m + K * innov
+    cov = parent_symmetrize(P - Pyy * (K[:, None] * K))
+    return UpdateOutcome(
+        posterior=GaussianBelief(mean=mean, cov=cov),
+        pred_meas=yhat,
+        innov_cov=Pyy,
+        log_likelihood=normal_log_pdf(innov, Pyy),
+    )
+
+
+def parent_side_step(belief, y, obs_prev, obs_now, model, filter_kind, noise_std):
+    """One recursion of a single side filter: observer input, predict, update."""
+    u = kinematics.observer_input(obs_prev, obs_now, model, belief.mean)
+    prior = parent_predict(belief, model, u, filter_kind)
+    out = parent_update(prior, y, noise_std, filter_kind)
+    if not all(map(math.isfinite, out.posterior.mean.tolist())):
+        raise gaussfilt.FilterNumericsError("non-finite estimate")
+    return out
+
+
+def parent_step(bank, meas, obs_prev, obs_now, model, filter_kind, noise_std):
+    """One recursion of the bank: side_step on each side, weight, fused mean."""
+    args = (obs_prev, obs_now, model, filter_kind, noise_std)
+    if math.isinf(bank.log_odds):
+        live, y = (bank.belief1, meas.y1) if bank.log_odds > 0 else (bank.belief2, meas.y2)
+        post = parent_side_step(live, y, *args).posterior
+        return lrtma.FilterBankState(post, post, bank.log_odds, bank.t + 1)
+    out1 = parent_side_step(bank.belief1, meas.y1, *args)
+    out2 = parent_side_step(bank.belief2, meas.y2, *args)
+    log_odds = lrtma.update_log_odds(bank.log_odds, out1.log_likelihood, out2.log_likelihood)
+    return lrtma.FilterBankState(out1.posterior, out2.posterior, log_odds, bank.t + 1)
+
+
+def failure_or(fn, *args):
+    """``fn(*args)``, or the exception it raised as "Class: message", as a run records it."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+def bank_bits(bank):
+    return [bank.belief1.mean, bank.belief1.cov, bank.belief2.mean, bank.belief2.cov,
+            [bank.log_odds], bank.mean]
+
+
+def outcome_bits(out):
+    return [out.posterior.mean, out.posterior.cov,
+            [out.pred_meas, out.innov_cov, out.log_likelihood]]
+
+
+def check_stacked_step(kind, model, b1, b2, log_odds, pair, obs_prev, obs_now, noise_std):
+    """The resolved bank step against the parent's, bit for bit or failure for
+    failure; where the parent succeeds, the stacked step itself must too."""
+    bank = lrtma.FilterBankState(b1, b2, log_odds, 3)
+    args = (pair, obs_prev, obs_now, model, kind, noise_std)
+    want = failure_or(parent_step, bank, *args)
+    got = failure_or(lrtma.step, bank, *args)
+    assert type(got) is not str or type(want) is str, got
+    if isinstance(want, str):
+        assert got == want
+        return want
+    for g, w in zip(bank_bits(got), bank_bits(want)):
+        assert_same_bits(g, w)
+    # the stacked step, not its side-by-side redo, gave those bits
+    outs = failure_or(lrtma._stacked_sides, bank, *args)
+    assert not isinstance(outs, str), outs
+    for out, b, y in zip(outs, (b1, b2), (pair.y1, pair.y2)):
+        side = parent_side_step(b, y, obs_prev, obs_now, model, kind, noise_std)
+        for g, w in zip(outcome_bits(out), outcome_bits(side)):
+            assert_same_bits(g, w)
+    return got
+
+
+STACKING = [UKF, CKF, GHF]
+MODELS = {CV: kinematics.MotionModel(CV, 1.0, 1.944e-6),
+          CT: kinematics.MotionModel(CT, 1.0, 1.944e-6, 3.78e-7)}
+STEADY = kinematics.ObserverState(0.0, 0.0, 0.1, 0.05, 0.3)
+STEADY_NEXT = kinematics.ObserverState(0.1, 0.05, 0.1, 0.05, 0.3)
+
+
+@st.composite
+def bank_cases(draw):
+    model_kind = draw(st.sampled_from([CV, CT]))
+    model = kinematics.MotionModel(
+        model_kind, draw(st.sampled_from([0.5, 1.0, 2.0])),
+        draw(st.sampled_from([0.0, 1.944e-6, 1e-3])), draw(st.sampled_from([0.0, 3.78e-7])))
+    n = model.dim
+    scale = draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+    b1, b2 = draw(beliefs(n)), draw(beliefs(n))
+    b1, b2 = (GaussianBelief(b.mean, scale * b.cov) for b in (b1, b2))
+    obs = [kinematics.ObserverState(*draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2)),
+                                    *draw(st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2)),
+                                    draw(bearings)) for _ in range(2)]
+    pair = BearingPair(draw(bearings), draw(bearings), draw(bearings), 4)
+    return (draw(st.sampled_from(STACKING)), model, b1, b2,
+            draw(st.floats(-50.0, 50.0)), pair, obs[0], obs[1], draw(noise_stds))
+
+
+class TestStackedBankStep:
+    """A resolved UKF/CKF/GHF bank step through one stacked predict and update
+    against two calls of the parent's per-side step, kept verbatim above."""
+
+    @given(case=bank_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_side_by_side_step(self, case):
+        check_stacked_step(*case)
+
+    @pytest.mark.parametrize("kind", STACKING)
+    @pytest.mark.parametrize("model_kind", [CV, CT])
+    def test_seeded_runs(self, kind, model_kind):
+        # every step of two resolved runs of the benchmark scenario
+        cfg = simkit.ScenarioConfig(filter_kind=kind, model_kind=model_kind)
+        model = cfg.motion_model()
+        for i in range(2):
+            inputs = simkit.synthesize_run(cfg, simkit.run_seed(cfg.seed, i))
+            rec = simkit.track_run(inputs, cfg, 0.0)
+            assert rec.failure is None
+            obs = inputs.observers
+            for k in range(2, cfg.horizon + 1):
+                bank = rec.estimates[k - 2]
+                got = check_stacked_step(kind, model, bank.belief1, bank.belief2, bank.log_odds,
+                                         inputs.measurements[k - 1], obs[k - 1], obs[k],
+                                         cfg.sigma_theta_rad)
+                for g, w in zip(bank_bits(got), bank_bits(rec.estimates[k - 1])):
+                    assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("kind", STACKING)
+    @pytest.mark.parametrize("small_side", [0, 1])
+    def test_one_side_near_zero_turn_rate(self, kind, small_side):
+        # one side's points all turn slower than PSI_EPS, the other's none:
+        # the one transition of both takes _ct_coeffs' np.where path
+        model = MODELS[CT]
+        small = GaussianBelief(np.array([3.0, 4.0, 0.1, -0.05, 0.0]),
+                               np.diag([0.04, 0.04, 1e-4, 1e-4, 1e-22]))
+        turning = GaussianBelief(np.array([-3.0, 4.0, -0.1, -0.05, 0.05]),
+                                 np.diag([0.04, 0.04, 1e-4, 1e-4, 1e-6]))
+        b = (small, turning) if small_side == 0 else (turning, small)
+        rates = [np.abs(points_for(kind, side).points[:, 4]).min() for side in b]
+        assert rates[small_side] < PSI_EPS <= rates[1 - small_side]
+        pair = BearingPair(0.6, -0.7, 0.3, 4)
+        got = check_stacked_step(kind, model, *b, 0.2, pair, STEADY, STEADY_NEXT, 0.02)
+        assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("kind", STACKING)
+    @pytest.mark.parametrize("model_kind", [CV, CT])
+    @pytest.mark.parametrize("wrapped_side", [0, 1])
+    def test_one_side_residual_past_pi(self, kind, model_kind, wrapped_side):
+        # one side sits just east of due south of the array, so its update's
+        # point bearings straddle +/-pi and wrap_angle takes its full path;
+        # the other side's residuals all lie inside (-pi, pi)
+        model = MODELS[model_kind]
+        n = model.dim
+        behind = GaussianBelief(np.array([0.05, -1.0] + [0.0] * (n - 2)),
+                                np.diag([0.3, 0.01] + [1e-4] * (n - 2)))
+        ahead = GaussianBelief(np.array([3.0, 4.0] + [0.0] * (n - 2)),
+                               np.diag([0.04, 0.04] + [1e-4] * (n - 2)))
+        b = (behind, ahead) if wrapped_side == 0 else (ahead, behind)
+        spans = []
+        for side in b:
+            u = kinematics.observer_input(STEADY, STEADY_NEXT, model, side.mean)
+            prior = parent_predict(side, model, u, kind)
+            g = BEARING.fn(points_for(kind, prior).points)
+            spans.append(np.abs(g - float(BEARING.fn(prior.mean))).max())
+        assert spans[wrapped_side] >= math.pi > spans[1 - wrapped_side]
+        pair = BearingPair(3.1, -0.7, 0.3, 4)
+        got = check_stacked_step(kind, model, *b, -0.4, pair, STEADY, STEADY_NEXT, 0.02)
+        assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("kind", STACKING)
+    @pytest.mark.parametrize("y1, noise_std, side1_failure", [
+        (0.6, math.inf, "FilterNumericsError: innovation covariance inf is not positive"),
+        (math.nan, 0.02, "FilterNumericsError: non-finite estimate"),
+    ])
+    def test_failure_order(self, kind, y1, noise_std, side1_failure):
+        # side 2 fails in its predict, side 1 in its update; the stacked
+        # step meets side 2's failure first, the side-by-side step side 1's
+        model = MODELS[CT]
+        good = GaussianBelief(np.array([3.0, 4.0, 0.1, -0.05, 0.01]),
+                              np.diag([0.04, 0.04, 1e-4, 1e-4, 1e-6]))
+        not_psd = GaussianBelief(np.array([-3.0, 4.0, -0.1, -0.05, -0.01]), -np.eye(5))
+        bank = lrtma.FilterBankState(good, not_psd, 0.0, 3)
+        args = (BearingPair(y1, -0.7, 0.3, 4), STEADY, STEADY_NEXT, model, kind, noise_std)
+        assert failure_or(lrtma._stacked_sides, bank, *args) == (
+            "FilterNumericsError: covariance is not positive semidefinite")
+        assert failure_or(parent_step, bank, *args) == side1_failure
+        assert failure_or(lrtma.step, bank, *args) == side1_failure
+
+    @pytest.mark.parametrize("kind", STACKING)
+    @pytest.mark.parametrize("nan_side", [0, 1])
+    def test_non_finite_estimate(self, kind, nan_side):
+        # a NaN bearing leaves its side's posterior mean NaN, which the
+        # stacked step must refuse as the side-by-side step does
+        model = MODELS[CT]
+        b1 = GaussianBelief(np.array([3.0, 4.0, 0.1, -0.05, 0.01]),
+                            np.diag([0.04, 0.04, 1e-4, 1e-4, 1e-6]))
+        b2 = GaussianBelief(np.array([-3.0, 4.0, -0.1, -0.05, -0.01]),
+                            np.diag([0.04, 0.04, 1e-4, 1e-4, 1e-6]))
+        y = [0.6, -0.7]
+        y[nan_side] = math.nan
+        pair = BearingPair(*y, 0.3, 4)
+        got = check_stacked_step(kind, model, b1, b2, 0.0, pair, STEADY, STEADY_NEXT, 0.02)
+        assert got == "FilterNumericsError: non-finite estimate"
+        bank = lrtma.FilterBankState(b1, b2, 0.0, 3)
+        assert failure_or(lrtma._stacked_sides, bank, pair, STEADY, STEADY_NEXT, model, kind,
+                          0.02) == got
+
+    def test_ukf_ct_non_psd_run_keeps_its_message(self):
+        # the one UKF/CT run known to fail (ROADMAP, CHANGES.md): the same
+        # step fails with the same message, every earlier estimate the same
+        cfg = simkit.ScenarioConfig(filter_kind=UKF, model_kind=CT, n_runs=2, seed=381765687)
+        inputs = simkit.synthesize_run(cfg, simkit.run_seed(cfg.seed, 0))
+        got = simkit.track_run(inputs, cfg, 0.0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lrtma, "step", parent_step)
+            want = simkit.track_run(inputs, cfg, 0.0)
+        assert got.failure == want.failure == (
+            "FilterNumericsError: covariance is not positive semidefinite")
+        assert len(got.estimates) == len(want.estimates)
+        for g, w in zip(got.estimates, want.estimates):
+            for a, b in zip(bank_bits(g), bank_bits(w)):
+                assert_same_bits(a, b)

@@ -33,6 +33,106 @@ def random_belief(rng, n=4, scale=1.0):
 POINT_SCHEMES = [UKF, CKF, GHF, SRF]
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestGaussianBelief:
+    def test_dim_is_the_last_axis(self):
+        b = GaussianBelief(np.zeros(5), np.eye(5))
+        s = GaussianBelief(np.zeros((2, 5)), np.tile(np.eye(5), (2, 1, 1)))
+        assert b.dim == s.dim == 5
+        assert s.mean.shape == (2, 5) and s.cov.shape == (2, 5, 5)
+
+    def test_lists_become_float_arrays(self):
+        b = GaussianBelief([[1, 2], [3, 4]], [[[1, 0], [0, 1]]] * 2)
+        assert b.mean.dtype == b.cov.dtype == np.float64
+
+    @pytest.mark.parametrize("mean_shape, cov_shape", [
+        ((4,), (5, 5)),
+        ((4,), (4, 5)),
+        ((4,), (2, 4, 4)),
+        ((2, 4), (4, 4)),
+        ((2, 4), (3, 4, 4)),
+        ((2, 4), (2, 4, 5)),
+        ((2, 4), (2, 4)),
+        ((), ()),
+        ((3, 2, 4), (3, 2, 4, 4)),
+    ])
+    def test_mismatch_names_both_shapes(self, mean_shape, cov_shape):
+        with pytest.raises(ValueError) as err:
+            GaussianBelief(np.zeros(mean_shape), np.zeros(cov_shape))
+        assert f"mean shape {mean_shape}" in str(err.value)
+        assert f"covariance shape {cov_shape}" in str(err.value)
+
+    def test_stack_keeps_its_beliefs_as_sides(self):
+        rng = np.random.default_rng(1)
+        b1, b2 = random_belief(rng, 5), random_belief(rng, 5)
+        s = GaussianBelief.stack((b1, b2))
+        assert s.sides[0] is b1 and s.sides[1] is b2
+        assert same_bits(s.mean, [b1.mean, b2.mean]) and same_bits(s.cov, [b1.cov, b2.cov])
+        with pytest.raises(ValueError):
+            GaussianBelief.stack((b1, random_belief(rng, 4)))
+
+    def test_sides_view_the_rows(self):
+        rng = np.random.default_rng(2)
+        s = GaussianBelief(rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 4)))
+        assert len(s.sides) == 3
+        for k, side in enumerate(s.sides):
+            assert type(side) is GaussianBelief and side.dim == 4
+            assert np.shares_memory(side.mean, s.mean) and np.shares_memory(side.cov, s.cov)
+            assert same_bits(side.mean, s.mean[k]) and same_bits(side.cov, s.cov[k])
+        with pytest.raises(ValueError):
+            random_belief(rng, 4).sides
+
+
+class TestStackedSteps:
+    """A stacked belief through predict and update gives each side's own call."""
+
+    @pytest.mark.parametrize("kind", [UKF, CKF, GHF])
+    @pytest.mark.parametrize("model", [MotionModel(CV, 1.0, 1e-6),
+                                       MotionModel(CT, 1.0, 1e-6, 1e-7)], ids=["cv", "ct"])
+    @pytest.mark.parametrize("meas", [gaussfilt.BEARING, None], ids=["bearing", "linear"])
+    def test_each_side_as_its_own_call(self, kind, model, meas):
+        meas = meas or linear_measurement()
+        rng = np.random.default_rng(3)
+        n = model.dim
+        offset = np.array([4.0, 3.0] + [0.0] * (n - 2))
+        sides = [GaussianBelief(rng.normal(size=n) + offset, 0.01 * random_belief(rng, n).cov)
+                 for _ in range(3)]
+        u = 0.01 * rng.normal(size=(3, n))
+        y = rng.uniform(-np.pi, np.pi, size=3).tolist()
+        prior = predict(GaussianBelief.stack(sides), model, u, kind)
+        outs = update(prior, y, 0.02, kind, meas)
+        assert len(outs) == 3
+        for k, side in enumerate(sides):
+            want_prior = predict(side, model, u[k], kind)
+            assert same_bits(prior.mean[k], want_prior.mean)
+            assert same_bits(prior.cov[k], want_prior.cov)
+            want = update(want_prior, y[k], 0.02, kind, meas)
+            assert same_bits(outs[k].posterior.mean, want.posterior.mean)
+            assert same_bits(outs[k].posterior.cov, want.posterior.cov)
+            assert same_bits([outs[k].pred_meas, outs[k].innov_cov, outs[k].log_likelihood],
+                             [want.pred_meas, want.innov_cov, want.log_likelihood])
+
+    @pytest.mark.parametrize("kind", [EKF, SRF])
+    def test_other_kinds_take_one_side(self, kind):
+        rng = np.random.default_rng(4)
+        s = GaussianBelief.stack((random_belief(rng, 5), random_belief(rng, 5)))
+        model = MotionModel(CT, 1.0, 1e-6, 1e-7)
+        with pytest.raises(ValueError, match="stacked"):
+            predict(s, model, np.zeros((2, 5)), kind)
+        with pytest.raises(ValueError, match="stacked"):
+            update(s, [0.1, 0.2], 0.02, kind)
+
+    def test_one_measurement_per_side(self):
+        rng = np.random.default_rng(5)
+        s = GaussianBelief.stack((random_belief(rng, 4), random_belief(rng, 4)))
+        with pytest.raises(ValueError, match="1 measurements for 2 sides"):
+            update(s, [0.1], 0.02, CKF)
+
+
 class TestPointSets:
     @pytest.mark.parametrize("kind", POINT_SCHEMES)
     def test_moment_matching(self, kind):

@@ -593,7 +593,7 @@ class TestMonteCarlo:
     def test_injected_failure_flags_only_its_run(self, monkeypatch):
         cfg = ScenarioConfig(filter_kind="ukf", model_kind=CT, n_runs=4)
         clean = run_monte_carlo(cfg)
-        run_index, calls = [-1], [0]
+        run_index, calls, bad = [-1], [0], []
         simulate, chol = simkit.simulate_run, gaussfilt.chol_psd
 
         def counting_simulate(*args, **kwargs):
@@ -601,17 +601,23 @@ class TestMonteCarlo:
             return simulate(*args, **kwargs)
 
         def failing_chol(P):
-            # four factorizations per resolved UKF step: call 100 is in step 26
+            # four factorizations per resolved UKF step: call 100 is side 2's
+            # update in step 26. Its covariance then fails to factor, as a
+            # covariance that is not PSD does each time it is factored
             if run_index[0] == 1:
                 calls[0] += 1
                 if calls[0] == 100:
+                    bad.append(P.copy())
+                if bad and np.array_equal(P, bad[0]):
                     raise gaussfilt.FilterNumericsError("injected")
             return chol(P)
 
         monkeypatch.setattr(simkit, "simulate_run", counting_simulate)
         monkeypatch.setattr(gaussfilt, "chol_psd", failing_chol)
         sums = run_monte_carlo(cfg)
-        assert calls[0] == 100
+        # the stacked step fails at call 100, and its side-by-side redo at
+        # call 104, on the same covariance
+        assert calls[0] == 104
         assert [s.failure for s in sums] == [None, "FilterNumericsError: injected", None, None]
         bad = sums[1]
         assert bad.failed and bad.diverged and math.isnan(bad.terminal_range_error)
