@@ -60,11 +60,13 @@ class GaussianBelief:
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
         shape = self.mean.shape
-        if self.cov.shape != shape + shape[-1:] or len(shape) not in (1, 2):
-            raise ValueError(
-                f"mean shape {shape} with covariance shape {self.cov.shape}: "
-                "want (n,) with (n, n), or (B, n) with (B, n, n)"
-            )
+        # (n,) with (n, n) passes the first test alone
+        if len(shape) != 1 or self.cov.shape != shape + shape:
+            if len(shape) != 2 or self.cov.shape != shape + shape[1:]:
+                raise ValueError(
+                    f"mean shape {shape} with covariance shape {self.cov.shape}: "
+                    "want (n,) with (n, n), or (B, n) with (B, n, n)"
+                )
 
     @property
     def dim(self) -> int:
@@ -89,41 +91,27 @@ class GaussianBelief:
         """The single-side beliefs of a stacked belief, as views of its rows."""
         if self.mean.ndim == 1:
             raise ValueError("a single-side belief has no sides")
-        return _side_views(self.mean, self.cov)
-
-
-def _side_views(mean: np.ndarray, cov: np.ndarray) -> list[GaussianBelief]:
-    # the rows of a checked stacked belief, so built without the checks
-    sides = []
-    for m, P in zip(mean, cov):
-        side = object.__new__(GaussianBelief)
-        side.mean, side.cov = m, P
-        sides.append(side)
-    return sides
+        sides = []
+        for m, P in zip(self.mean, self.cov):
+            # the rows of a checked stacked belief, so built without the checks
+            side = object.__new__(GaussianBelief)
+            side.mean, side.cov = m, P
+            sides.append(side)
+        return sides
 
 
 @dataclass
 class WeightedPointSet:
-    """Deterministic sample points (rows) with their weights.
-
-    A stacked set holds one point set per side along a leading axis,
-    points (B, p, n), sharing the p weights.
-    """
+    """Deterministic sample points (rows) with their weights."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted mean and covariance of the points, one pair per side if stacked."""
-        return _moments(self.points, self.weights)
-
-
-def _moments(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # each side's products are per-matrix matmul calls, which give a
-    # stacked set each side's bits
-    mean = weights @ points
-    d = points - mean[..., None, :]
-    return mean, (weights[:, None] * d).swapaxes(-1, -2) @ d
+        """Weighted mean and covariance of the points."""
+        mean = self.weights @ self.points
+        d = self.points - mean
+        return mean, (self.weights[:, None] * d).T @ d
 
 
 @dataclass
@@ -164,8 +152,7 @@ def normal_log_pdf(resid: float, var: float) -> float:
 
 
 def symmetrize(P: np.ndarray) -> np.ndarray:
-    """(P + P^T) / 2 of a matrix, or of each matrix of a stack."""
-    S = P + (P.T if P.ndim == 2 else P.swapaxes(-1, -2))
+    S = P + P.T
     S /= 2.0
     return S
 
@@ -254,6 +241,18 @@ def points_for(kind: str, belief: GaussianBelief) -> WeightedPointSet:
     return WeightedPointSet(points=belief.mean + xi @ chol_psd(belief.cov).T, weights=w)
 
 
+def stacks(kind: str, model: MotionModel) -> bool:
+    """Whether a resolved bank of this kind steps both sides in one stacked
+    :func:`predict` and one stacked :func:`update` under this motion model.
+
+    Every kind in :data:`STACKING_KINDS` takes a stacked belief, but only a
+    nonlinear (CT) transition costs enough for one call over every side's
+    points to repay the stacking. Under the linear CV model a stacked step
+    measured no faster than two single-side steps.
+    """
+    return kind in STACKING_KINDS and not model.linear
+
+
 def _side_points(kind: str, belief: GaussianBelief) -> WeightedPointSet:
     """The point sets of each side of a stacked belief, stacked to (B, p, n).
 
@@ -265,6 +264,14 @@ def _side_points(kind: str, belief: GaussianBelief) -> WeightedPointSet:
         ps = points_for(kind, side)
         points.append(ps.points)
     return WeightedPointSet(np.array(points), ps.weights)
+
+
+def _stacked_moments(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # WeightedPointSet.moments of each side of (B, p, n) points: its products
+    # become per-matrix matmul calls, which give each side its bits
+    mean = weights @ points
+    d = points - mean[:, None, :]
+    return mean, (weights[:, None] * d).swapaxes(1, 2) @ d
 
 
 def _not_stacking(kind: str) -> ValueError:
@@ -287,47 +294,65 @@ def predict(
     reconstructed mean. The SRF uses the exact linear propagation for a
     linear model and cubature points otherwise.
 
-    The kinds in :data:`STACKING_KINDS` also take a stacked belief, with
-    one input row per side, u (B, n), and give the stacked prior. Each side
-    keeps its own point set; one transition moves every side's points.
+    The kinds in :data:`STACKING_KINDS` also take a stacked belief, see
+    :func:`_predict_stacked`.
     """
+    if belief.mean.ndim > 1:
+        return _predict_stacked(belief, model, u, kind)
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     n = belief.dim
     if n != model.dim:
         raise ValueError(f"belief dim {n} does not match model dim {model.dim}")
     Q = kinematics.process_noise_cov(model)
-    stacked = belief.mean.ndim > 1
-    if stacked and kind not in STACKING_KINDS:
-        raise _not_stacking(kind)
 
     if kind == EKF or (kind == SRF and model.linear):
         F = kinematics.process_jacobian(model, belief.mean)
         mean = kinematics.transition(model, belief.mean) - u
         cov = F @ belief.cov @ F.T + Q
-        return GaussianBelief(mean=mean, cov=symmetrize(cov))
-    if stacked:
-        ps = _side_points(kind, belief)
-        # every side's points as the rows of one block, which one transition moves
-        prop = kinematics.transition(model, ps.points.reshape(-1, n)).reshape(ps.points.shape)
     else:
         ps = points_for(kind, belief)
-        prop = kinematics.transition(model, ps.points)
-    mean, cov = _moments(prop, ps.weights)
-    prior = GaussianBelief(mean=mean - u, cov=symmetrize(cov + Q))
-    if stacked:
-        # each side's own belief, which update factors
-        prior.sides = _side_views(prior.mean, prior.cov)
-    return prior
+        prop = WeightedPointSet(kinematics.transition(model, ps.points), ps.weights)
+        mean, cov = prop.moments()
+        mean = mean - u
+        cov = cov + Q
+    return GaussianBelief(mean=mean, cov=symmetrize(cov))
+
+
+def _predict_stacked(
+    belief: GaussianBelief,
+    model: MotionModel,
+    u: np.ndarray,
+    kind: str,
+) -> GaussianBelief:
+    """:func:`predict` of a stacked belief, with one input row per side, u (B, n).
+
+    Each side keeps its own point set; one transition moves every side's
+    points. Each side of the stacked prior has the bits of its own call.
+    """
+    if kind not in STACKING_KINDS:
+        raise _not_stacking(kind)
+    n = belief.dim
+    if n != model.dim:
+        raise ValueError(f"belief dim {n} does not match model dim {model.dim}")
+    Q = kinematics.process_noise_cov(model)
+    ps = _side_points(kind, belief)
+    # every side's points as the rows of one block, which one transition moves
+    prop = kinematics.transition(model, ps.points.reshape(-1, n)).reshape(ps.points.shape)
+    mean, cov = _stacked_moments(prop, ps.weights)
+    cov = cov + Q
+    S = cov + cov.swapaxes(1, 2)
+    S /= 2.0
+    return GaussianBelief(mean=mean - u, cov=S)
 
 
 def update(
     belief: GaussianBelief,
-    y: float | Sequence[float],
+    y: float,
     noise_std: float,
     kind: str,
     meas: MeasurementModel = BEARING,
-) -> UpdateOutcome | list[UpdateOutcome]:
+) -> UpdateOutcome:
     """Measurement update of any filter kind.
 
     The SRF runs :func:`srf_update`, which is defined for bearings only.
@@ -336,69 +361,35 @@ def update(
     log-likelihood is the Gaussian density of that innovation. Raises
     FilterNumericsError on a nonpositive innovation covariance.
 
-    The kinds in :data:`STACKING_KINDS` also take a stacked belief with a
-    sequence ``y`` of B measurements, and give a list of B outcomes. The
-    predicted measurements and their moments take one pass over every
-    side's points, each dot a per-side ``(1, p) @ (p, 1)`` product; the
-    gain and posterior are formed side by side, the first failing side
-    raising.
+    The kinds in :data:`STACKING_KINDS` also take a stacked belief with B
+    measurements, see :func:`_update_stacked`.
     """
-    m, P = belief.mean, belief.cov
-    if m.ndim > 1 and kind not in STACKING_KINDS:
-        raise _not_stacking(kind)
+    if belief.mean.ndim > 1:
+        return _update_stacked(belief, y, noise_std, kind, meas)
     if kind == SRF:
         if meas is not BEARING:
             raise ValueError("the shifted Rayleigh filter updates bearings only")
         return srf_update(belief, y, noise_std)
     R = noise_std**2
+    m, P = belief.mean, belief.cov
 
     if kind == EKF:
         H = meas.jac(m)
         yhat = float(meas.fn(m))
         Pxy = P @ H
         Pyy = float(H @ Pxy) + R
-        return _gain_update(m, P, y, yhat, Pyy, Pxy, meas)
+    else:
+        ps = points_for(kind, belief)
+        g = np.asarray(meas.fn(ps.points), dtype=float)
+        if meas.angular:
+            ref = float(meas.fn(m))
+            g = ref + sensing.wrap_angle(g - ref)
+        yhat = float(ps.weights @ g)
+        dy = g - yhat
+        dx = ps.points - m
+        Pyy = float(ps.weights @ (dy * dy)) + R
+        Pxy = (ps.weights * dy) @ dx
 
-    stacked = m.ndim > 1
-    ps = _side_points(kind, belief) if stacked else points_for(kind, belief)
-    X, w = ps.points, ps.weights
-    # With a side axis, each side's mean is a row (B, 1, n) and its dots
-    # (B, 1, p) @ (p, 1) products, so every per-side scalar is a column
-    # (B, 1) that broadcasts over that side's points. A single belief needs
-    # no new axis: indexing with ... adds none.
-    col, row = ((..., None), (..., None, slice(None))) if stacked else (..., ...)
-    mr = m[row]
-    g = np.asarray(meas.fn(X), dtype=float)
-    if meas.angular:
-        ref = meas.fn(mr)
-        g = ref + sensing.wrap_angle(g - ref)
-    yhat = w @ g[col]
-    dy = g - yhat
-    dx = X - mr
-    Pyy = w @ (dy * dy)[col]
-    Pxy = (w * dy)[row] @ dx
-    if not stacked:
-        return _gain_update(m, P, y, float(yhat), float(Pyy) + R, Pxy, meas)
-    sides = belief.sides
-    if len(y) != len(sides):
-        raise ValueError(f"{len(y)} measurements for {len(sides)} sides")
-    outs = []
-    per_side = zip(sides, y, yhat.tolist(), Pyy.tolist(), Pxy)
-    for side, y_k, (yhat_k,), (Pyy_k,), (Pxy_k,) in per_side:
-        outs.append(_gain_update(side.mean, side.cov, y_k, yhat_k, Pyy_k + R, Pxy_k, meas))
-    return outs
-
-
-def _gain_update(
-    m: np.ndarray,
-    P: np.ndarray,
-    y: float,
-    yhat: float,
-    Pyy: float,
-    Pxy: np.ndarray,
-    meas: MeasurementModel,
-) -> UpdateOutcome:
-    """The gain, posterior and log-likelihood of one side's scalar update."""
     if Pyy <= 0 or not math.isfinite(Pyy):
         raise FilterNumericsError(f"innovation covariance {Pyy} is not positive")
     innov = sensing.wrap_angle(y - yhat) if meas.angular else y - yhat
@@ -411,6 +402,59 @@ def _gain_update(
         innov_cov=Pyy,
         log_likelihood=normal_log_pdf(innov, Pyy),
     )
+
+
+def _update_stacked(
+    belief: GaussianBelief,
+    y: Sequence[float],
+    noise_std: float,
+    kind: str,
+    meas: MeasurementModel,
+) -> list[UpdateOutcome]:
+    """:func:`update` of a stacked belief on B measurements: B outcomes.
+
+    The predicted measurements and their moments take one pass over every
+    side's points, each dot a per-side ``(1, p) @ (p, 1)`` product; the
+    gain and posterior are formed side by side as in :func:`update`, the
+    first failing side raising. Each outcome has the bits of its side's
+    own call.
+    """
+    if kind not in STACKING_KINDS:
+        raise _not_stacking(kind)
+    sides = belief.sides
+    if len(y) != len(sides):
+        raise ValueError(f"{len(y)} measurements for {len(sides)} sides")
+    R = noise_std**2
+    ps = _side_points(kind, belief)
+    X, w = ps.points, ps.weights
+    # each side's mean is a row (B, 1, n) and its dots (B, 1, p) @ (p, 1)
+    # products, so every per-side scalar is a column (B, 1) that broadcasts
+    # over that side's points
+    mr = belief.mean[:, None, :]
+    g = np.asarray(meas.fn(X), dtype=float)
+    if meas.angular:
+        ref = meas.fn(mr)
+        g = ref + sensing.wrap_angle(g - ref)
+    yhat = w @ g[..., None]
+    dy = g - yhat
+    Pyy = w @ (dy * dy)[..., None]
+    Pxy = (w * dy)[:, None, :] @ (X - mr)
+    outs = []
+    per_side = zip(sides, y, yhat.tolist(), Pyy.tolist(), Pxy)
+    for side, y_k, (yhat_k,), (Pyy_k,), (Pxy_k,) in per_side:
+        Pyy_k += R
+        if Pyy_k <= 0 or not math.isfinite(Pyy_k):
+            raise FilterNumericsError(f"innovation covariance {Pyy_k} is not positive")
+        innov = sensing.wrap_angle(y_k - yhat_k) if meas.angular else y_k - yhat_k
+        K = Pxy_k / Pyy_k
+        cov = symmetrize(side.cov - Pyy_k * (K[:, None] * K))
+        outs.append(UpdateOutcome(
+            posterior=GaussianBelief(mean=side.mean + K * innov, cov=cov),
+            pred_meas=yhat_k,
+            innov_cov=Pyy_k,
+            log_likelihood=normal_log_pdf(innov, Pyy_k),
+        ))
+    return outs
 
 
 _SQRT1_2 = math.sqrt(0.5)

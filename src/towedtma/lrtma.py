@@ -299,7 +299,7 @@ def step(
     A settled bank (infinite log-odds) steps only its live side, on that
     slot's bearing, and keeps its log-odds; a side of weight 0 cannot move
     the fused output. Both slots then hold the live side's posterior.
-    A resolved bank of a kind in :data:`gaussfilt.STACKING_KINDS` steps its
+    A resolved bank for which :func:`gaussfilt.stacks` holds steps its
     sides stacked (:func:`_stacked_sides`). A failure there is redone side
     by side, so the step raises what the side-by-side step raises first:
     side 1's predict, then its update, then side 2's. Numerical failures
@@ -312,7 +312,7 @@ def step(
         post = side_step(live, y, *args).posterior
         return FilterBankState(post, post, bank.log_odds, bank.t + 1)
     outs = None
-    if filter_kind in gaussfilt.STACKING_KINDS:
+    if gaussfilt.stacks(filter_kind, model):
         try:
             outs = _stacked_sides(bank, meas, *args)
         except _REDONE:

@@ -21,7 +21,7 @@ class ZeroRangeError(ValueError):
     """Raised when the bearing of a zero-range geometry is requested."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BearingPair:
     """The two mirrored bearing detections at one time step.
 
@@ -35,15 +35,6 @@ class BearingPair:
     y2: float
     heading: float
     t: int = 0
-
-    def __init__(self, y1: float, y2: float, heading: float, t: int = 0) -> None:
-        # a run builds one pair per step: filling the instance dict directly
-        # skips the frozen class's four object.__setattr__ calls
-        d = self.__dict__
-        d["y1"] = y1
-        d["y2"] = y2
-        d["heading"] = heading
-        d["t"] = t
 
 
 def wrap_angle(a):

@@ -70,10 +70,10 @@ def test_harness_wrappers_tag_the_tracker(harness):
     assert set(spans.tags_of("gaussfilt.update")) == tags
     assert set(spans.tags_of("gaussfilt.srf_update")) == {"srf.cv"}
     assert set(spans.tags_of("gaussfilt.points_for")) == {"ckf", "ghf"}
-    # one state (EKF, SRF), and a resolved point filter's one transition
-    # of both sides' point sets: 2 x 10 cubature points (CT), 2 x 81 GH
-    # points (CV)
-    assert set(spans.tags_of("kinematics.transition")) == {"1", "20", "162"}
+    # one state (EKF, SRF); a resolved CT point filter's one transition of
+    # both sides' point sets, 2 x 10 cubature points; and a CV point
+    # filter's transition of one side's 3^4 = 81 GH grid
+    assert set(spans.tags_of("kinematics.transition")) == {"1", "20", "81"}
     steps = len(CELLS) * (cfg.horizon - 1) + 1
     assert spans.count("lrtma.step") == steps
     assert spans.count("kinematics.observer_input") == 2 * steps

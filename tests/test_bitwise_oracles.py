@@ -1034,8 +1034,9 @@ def bank_cases(draw):
 
 
 class TestStackedBankStep:
-    """A resolved UKF/CKF/GHF bank step through one stacked predict and update
-    against two calls of the parent's per-side step, kept verbatim above."""
+    """A resolved UKF/CKF/GHF bank step against two calls of the parent's
+    per-side step, kept verbatim above. ``lrtma.step`` stacks CT banks only;
+    the stacked step itself (``_stacked_sides``) is checked in CV too."""
 
     @given(case=bank_cases())
     @settings(max_examples=400, deadline=None)

@@ -126,6 +126,11 @@ class TestStackedSteps:
         with pytest.raises(ValueError, match="stacked"):
             update(s, [0.1, 0.2], 0.02, kind)
 
+    def test_only_point_filters_under_ct_stack(self):
+        cv, ct = MotionModel(CV, 1.0, 1e-6), MotionModel(CT, 1.0, 1e-6, 1e-7)
+        assert [k for k in gaussfilt.FILTER_KINDS if gaussfilt.stacks(k, ct)] == [UKF, CKF, GHF]
+        assert not any(gaussfilt.stacks(k, cv) for k in gaussfilt.FILTER_KINDS)
+
     def test_one_measurement_per_side(self):
         rng = np.random.default_rng(5)
         s = GaussianBelief.stack((random_belief(rng, 4), random_belief(rng, 4)))

@@ -1,7 +1,3 @@
-import dataclasses
-import math
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +5,6 @@ from hypothesis import strategies as st
 
 from towedtma import sensing
 from towedtma.sensing import (
-    BearingPair,
     ZeroRangeError,
     bearing_jacobian,
     ghost_bearing,
@@ -159,63 +154,6 @@ class TestMeasure:
         p_ref = measure(reflect_state(rel, h), h, 0.02, FixedRng(-0.7))
         assert wrap_angle(p_ref.y1 - p.y2) == pytest.approx(0.0, abs=1e-12)
         assert wrap_angle(p_ref.y2 - p.y1) == pytest.approx(0.0, abs=1e-12)
-
-
-# the generated frozen dataclass that BearingPair's written-out __init__ replaces
-RefPair = dataclasses.make_dataclass(
-    "BearingPair",
-    [("y1", float), ("y2", float), ("heading", float), ("t", int, dataclasses.field(default=0))],
-    frozen=True,
-)
-pair_values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
-
-
-class TestBearingPair:
-    def test_fields_and_defaults(self):
-        assert [(f.name, f.default) for f in dataclasses.fields(BearingPair)] == [
-            (f.name, f.default) for f in dataclasses.fields(RefPair)]
-        assert BearingPair.__match_args__ == RefPair.__match_args__ == ("y1", "y2", "heading", "t")
-        assert BearingPair(0.1, 0.2, 0.3).t == 0
-
-    @given(a=st.tuples(pair_values, pair_values, pair_values, st.integers(0, 40)),
-           b=st.tuples(pair_values, pair_values, pair_values, st.integers(0, 40)))
-    @settings(max_examples=300, deadline=None)
-    def test_behaves_as_the_generated_dataclass(self, a, b):
-        p, q, rp, rq = BearingPair(*a), BearingPair(*b), RefPair(*a), RefPair(*b)
-        assert repr(p) == repr(rp)
-        assert (p == q) is (rp == rq)
-        assert (p != q) is (rp != rq)
-        assert hash(p) == hash(rp)
-        assert dataclasses.astuple(p) == dataclasses.astuple(rp)
-        assert vars(p) == vars(rp)
-        kw = BearingPair(y1=a[0], y2=a[1], heading=a[2], t=a[3])
-        assert dataclasses.astuple(kw) == dataclasses.astuple(p)
-        moved = dataclasses.replace(p, heading=b[2], t=b[3])
-        assert type(moved) is BearingPair
-        ref_moved = dataclasses.replace(rp, heading=b[2], t=b[3])
-        assert dataclasses.astuple(moved) == dataclasses.astuple(ref_moved)
-        back = pickle.loads(pickle.dumps(p))
-        assert repr(back) == repr(p) and all(
-            x == y or (math.isnan(x) and math.isnan(y))
-            for x, y in zip(dataclasses.astuple(back), dataclasses.astuple(p)))
-
-    def test_frozen(self):
-        p = BearingPair(0.1, 0.2, 0.3, 4)
-        for name in ("y1", "y2", "heading", "t", "other"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(p, name, 1.0)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(p, name)
-        assert dataclasses.astuple(p) == (0.1, 0.2, 0.3, 4)
-
-    def test_not_equal_to_other_types(self):
-        p = BearingPair(0.1, 0.2, 0.3, 4)
-        assert p != RefPair(0.1, 0.2, 0.3, 4)
-        assert p != (0.1, 0.2, 0.3, 4)
-        with pytest.raises(TypeError):
-            BearingPair(0.1, 0.2)
-        with pytest.raises(TypeError):
-            BearingPair(0.1, 0.2, 0.3, 4, 5)
 
 
 class TestReflectState:

@@ -631,6 +631,41 @@ class TestMonteCarlo:
                 b.terminal_range_error, b.terminal_max_weight, b.first_decided_step,
                 b.diverged, b.failed, b.failure)
 
+    def test_one_call_fault_in_a_stacked_step_is_redone(self, monkeypatch):
+        # a fault that one factorisation meets and the next of the same
+        # covariance does not: the side-by-side redo of the stacked step
+        # passes it, so every run comes out as the clean run does
+        cfg = ScenarioConfig(filter_kind="ukf", model_kind=CT, n_runs=2)
+        calls, fail_at, failures = [0], [0], []
+        chol, stacked = gaussfilt.chol_psd, lrtma._stacked_sides
+
+        def faulty_chol(P):
+            calls[0] += 1
+            if calls[0] == fail_at[0]:
+                raise gaussfilt.FilterNumericsError("injected")
+            return chol(P)
+
+        def spying_stacked(*args):
+            try:
+                return stacked(*args)
+            except gaussfilt.FilterNumericsError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(gaussfilt, "chol_psd", faulty_chol)
+        monkeypatch.setattr(lrtma, "_stacked_sides", spying_stacked)
+        clean = run_monte_carlo(cfg)
+        clean_calls = calls[0]
+        # four factorizations per resolved UKF step: call 100 is side 2's
+        # update in step 26 of run 0
+        calls[0], fail_at[0] = 0, 100
+        sums = run_monte_carlo(cfg)
+        assert failures == ["injected"]
+        # the redo factors both sides' covariances twice more
+        assert calls[0] == clean_calls + 4
+        assert [s.failure for s in sums] == [None, None]
+        assert _summary_bytes(sums) == _summary_bytes(clean)
+
 
 def _bank_bytes(bank) -> tuple:
     """The log-odds, time and every belief of a bank, exactly."""
