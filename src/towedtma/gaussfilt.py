@@ -9,6 +9,9 @@ innovation covariance, and the log-likelihood of the measurement (scalar
 Gaussian on the wrapped innovation, or for the shifted Rayleigh filter the
 bivariate density of its own pseudo-measurement).
 
+Each call predicts or updates one side of the bank, but ``predict`` also
+takes a bank's sides as a tuple where it moves point sets (:func:`stacks`).
+
 The scalar-measurement update is written against a pluggable measurement
 model. The tracker uses one, ``BEARING``: each side of the bank updates
 on its own slot's bearing (see ``lrtma``), so no mirrored-bearing model
@@ -35,9 +38,6 @@ CKF = "ckf"
 GHF = "ghf"
 SRF = "srf"
 FILTER_KINDS = (EKF, UKF, CKF, GHF, SRF)
-# The kinds whose predict and update also take a stacked belief: the point
-# filters, whose per-side arrays stack along the side axis bit for bit
-STACKING_KINDS = frozenset({UKF, CKF, GHF})
 
 
 class FilterNumericsError(RuntimeError):
@@ -46,12 +46,7 @@ class FilterNumericsError(RuntimeError):
 
 @dataclass
 class GaussianBelief:
-    """Mean vector and covariance matrix of a state estimate.
-
-    A stacked belief holds one estimate per side of a filter bank along a
-    leading axis: mean (B, n) and covariance (B, n, n). ``dim`` is the last
-    axis, n, in both forms.
-    """
+    """Mean vector and covariance matrix of a state estimate."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -60,44 +55,15 @@ class GaussianBelief:
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
         shape = self.mean.shape
-        # (n,) with (n, n) passes the first test alone
         if len(shape) != 1 or self.cov.shape != shape + shape:
-            if len(shape) != 2 or self.cov.shape != shape + shape[1:]:
-                raise ValueError(
-                    f"mean shape {shape} with covariance shape {self.cov.shape}: "
-                    "want (n,) with (n, n), or (B, n) with (B, n, n)"
-                )
+            raise ValueError(
+                f"mean shape {shape} with covariance shape {self.cov.shape}: "
+                "want (n,) with (n, n)"
+            )
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[-1]
-
-    @classmethod
-    def stack(cls, beliefs: Sequence[GaussianBelief]) -> GaussianBelief:
-        """The stacked belief of B single-side beliefs, copied in order.
-
-        Its :attr:`sides` are those beliefs themselves.
-        """
-        means, covs = [], []
-        for b in beliefs:
-            means.append(b.mean)
-            covs.append(b.cov)
-        out = cls(np.array(means), np.array(covs))
-        out.sides = list(beliefs)
-        return out
-
-    @functools.cached_property
-    def sides(self) -> list[GaussianBelief]:
-        """The single-side beliefs of a stacked belief, as views of its rows."""
-        if self.mean.ndim == 1:
-            raise ValueError("a single-side belief has no sides")
-        sides = []
-        for m, P in zip(self.mean, self.cov):
-            # the rows of a checked stacked belief, so built without the checks
-            side = object.__new__(GaussianBelief)
-            side.mean, side.cov = m, P
-            sides.append(side)
-        return sides
+        return self.mean.shape[0]
 
 
 @dataclass
@@ -241,49 +207,40 @@ def points_for(kind: str, belief: GaussianBelief) -> WeightedPointSet:
     return WeightedPointSet(points=belief.mean + xi @ chol_psd(belief.cov).T, weights=w)
 
 
+def _moves_points(kind: str, model: MotionModel) -> bool:
+    # whether predict moves a point set: every kind but the EKF, and the SRF
+    # only where no exact linear propagation exists
+    return kind in (UKF, CKF, GHF) or (kind == SRF and not model.linear)
+
+
 def stacks(kind: str, model: MotionModel) -> bool:
-    """Whether a resolved bank of this kind steps both sides in one stacked
-    :func:`predict` and one stacked :func:`update` under this motion model.
+    """Whether a resolved bank of this kind predicts both sides in one
+    :func:`predict` call under this motion model.
 
-    Every kind in :data:`STACKING_KINDS` takes a stacked belief, but only a
-    nonlinear (CT) transition costs enough for one call over every side's
-    points to repay the stacking. Under the linear CV model a stacked step
-    measured no faster than two single-side steps.
+    That holds where :func:`predict` moves a point set under a nonlinear
+    (CT) model: only the CT transition costs enough for one call over every
+    side's points to repay the shared call. Under the linear CV model a
+    shared prediction measured slower than two single-side ones.
     """
-    return kind in STACKING_KINDS and not model.linear
+    return not model.linear and _moves_points(kind, model)
 
 
-def _side_points(kind: str, belief: GaussianBelief) -> WeightedPointSet:
-    """The point sets of each side of a stacked belief, stacked to (B, p, n).
-
-    Each side is factored on its own, by :func:`points_for` on its own
-    single-side belief.
-    """
-    points = []
-    for side in belief.sides:
-        ps = points_for(kind, side)
-        points.append(ps.points)
-    return WeightedPointSet(np.array(points), ps.weights)
-
-
-def _stacked_moments(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # WeightedPointSet.moments of each side of (B, p, n) points: its products
-    # become per-matrix matmul calls, which give each side its bits
-    mean = weights @ points
-    d = points - mean[:, None, :]
-    return mean, (weights[:, None] * d).swapaxes(1, 2) @ d
-
-
-def _not_stacking(kind: str) -> ValueError:
-    return ValueError(f"filter kind {kind!r} does not take a stacked belief")
+def _moment_prior(
+    points: np.ndarray, weights: np.ndarray, u: np.ndarray, Q: np.ndarray
+) -> GaussianBelief:
+    # the prior of a propagated point set, minus the observer input
+    mean, cov = WeightedPointSet(points, weights).moments()
+    mean = mean - u
+    cov = cov + Q
+    return GaussianBelief(mean=mean, cov=symmetrize(cov))
 
 
 def predict(
-    belief: GaussianBelief,
+    belief: GaussianBelief | tuple[GaussianBelief, ...],
     model: MotionModel,
-    u: np.ndarray,
+    u: np.ndarray | Sequence[np.ndarray],
     kind: str,
-) -> GaussianBelief:
+) -> GaussianBelief | tuple[GaussianBelief, ...]:
     """Time update through the motion model, minus the observer input.
 
     The input ``u`` is required: an array of the model's dimension, zeros
@@ -294,11 +251,14 @@ def predict(
     reconstructed mean. The SRF uses the exact linear propagation for a
     linear model and cubature points otherwise.
 
-    The kinds in :data:`STACKING_KINDS` also take a stacked belief, see
-    :func:`_predict_stacked`.
+    Where the prediction moves a point set, ``belief`` may also be a tuple
+    of single-side beliefs, the sides of a resolved bank, with ``u`` one
+    input per side. Each side builds its own point set, one transition
+    moves every side's points, and each side's prior, returned in a tuple
+    in the same order, has the bits of its own call.
     """
-    if belief.mean.ndim > 1:
-        return _predict_stacked(belief, model, u, kind)
+    if isinstance(belief, tuple):
+        return _predict_sides(belief, model, u, kind)
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     n = belief.dim
@@ -306,44 +266,38 @@ def predict(
         raise ValueError(f"belief dim {n} does not match model dim {model.dim}")
     Q = kinematics.process_noise_cov(model)
 
+    # not _moves_points, written out: this test runs on every side's step
     if kind == EKF or (kind == SRF and model.linear):
         F = kinematics.process_jacobian(model, belief.mean)
         mean = kinematics.transition(model, belief.mean) - u
         cov = F @ belief.cov @ F.T + Q
-    else:
-        ps = points_for(kind, belief)
-        prop = WeightedPointSet(kinematics.transition(model, ps.points), ps.weights)
-        mean, cov = prop.moments()
-        mean = mean - u
-        cov = cov + Q
-    return GaussianBelief(mean=mean, cov=symmetrize(cov))
+        return GaussianBelief(mean=mean, cov=symmetrize(cov))
+    ps = points_for(kind, belief)
+    return _moment_prior(kinematics.transition(model, ps.points), ps.weights, u, Q)
 
 
-def _predict_stacked(
-    belief: GaussianBelief,
+def _predict_sides(
+    beliefs: tuple[GaussianBelief, ...],
     model: MotionModel,
-    u: np.ndarray,
+    u: Sequence[np.ndarray],
     kind: str,
-) -> GaussianBelief:
-    """:func:`predict` of a stacked belief, with one input row per side, u (B, n).
-
-    Each side keeps its own point set; one transition moves every side's
-    points. Each side of the stacked prior has the bits of its own call.
-    """
-    if kind not in STACKING_KINDS:
-        raise _not_stacking(kind)
-    n = belief.dim
-    if n != model.dim:
-        raise ValueError(f"belief dim {n} does not match model dim {model.dim}")
+) -> tuple[GaussianBelief, ...]:
+    """:func:`predict` of each side of a bank, through one transition."""
+    if not _moves_points(kind, model):
+        raise ValueError(f"filter kind {kind!r} moves no point set under the "
+                         f"{model.kind!r} model: it predicts one side a call")
+    if len(u) != len(beliefs):
+        raise ValueError(f"{len(u)} observer inputs for {len(beliefs)} sides")
+    for b in beliefs:
+        if b.dim != model.dim:
+            raise ValueError(f"belief dim {b.dim} does not match model dim {model.dim}")
     Q = kinematics.process_noise_cov(model)
-    ps = _side_points(kind, belief)
+    sets = [points_for(kind, b) for b in beliefs]
     # every side's points as the rows of one block, which one transition moves
-    prop = kinematics.transition(model, ps.points.reshape(-1, n)).reshape(ps.points.shape)
-    mean, cov = _stacked_moments(prop, ps.weights)
-    cov = cov + Q
-    S = cov + cov.swapaxes(1, 2)
-    S /= 2.0
-    return GaussianBelief(mean=mean - u, cov=S)
+    moved = kinematics.transition(model, np.concatenate([ps.points for ps in sets]))
+    p = len(sets[0].weights)
+    return tuple(_moment_prior(moved[k * p:(k + 1) * p], ps.weights, u_k, Q)
+                 for k, (ps, u_k) in enumerate(zip(sets, u)))
 
 
 def update(
@@ -360,12 +314,7 @@ def update(
     angular models are wrapped before the gain is applied, and the reported
     log-likelihood is the Gaussian density of that innovation. Raises
     FilterNumericsError on a nonpositive innovation covariance.
-
-    The kinds in :data:`STACKING_KINDS` also take a stacked belief with B
-    measurements, see :func:`_update_stacked`.
     """
-    if belief.mean.ndim > 1:
-        return _update_stacked(belief, y, noise_std, kind, meas)
     if kind == SRF:
         if meas is not BEARING:
             raise ValueError("the shifted Rayleigh filter updates bearings only")
@@ -402,59 +351,6 @@ def update(
         innov_cov=Pyy,
         log_likelihood=normal_log_pdf(innov, Pyy),
     )
-
-
-def _update_stacked(
-    belief: GaussianBelief,
-    y: Sequence[float],
-    noise_std: float,
-    kind: str,
-    meas: MeasurementModel,
-) -> list[UpdateOutcome]:
-    """:func:`update` of a stacked belief on B measurements: B outcomes.
-
-    The predicted measurements and their moments take one pass over every
-    side's points, each dot a per-side ``(1, p) @ (p, 1)`` product; the
-    gain and posterior are formed side by side as in :func:`update`, the
-    first failing side raising. Each outcome has the bits of its side's
-    own call.
-    """
-    if kind not in STACKING_KINDS:
-        raise _not_stacking(kind)
-    sides = belief.sides
-    if len(y) != len(sides):
-        raise ValueError(f"{len(y)} measurements for {len(sides)} sides")
-    R = noise_std**2
-    ps = _side_points(kind, belief)
-    X, w = ps.points, ps.weights
-    # each side's mean is a row (B, 1, n) and its dots (B, 1, p) @ (p, 1)
-    # products, so every per-side scalar is a column (B, 1) that broadcasts
-    # over that side's points
-    mr = belief.mean[:, None, :]
-    g = np.asarray(meas.fn(X), dtype=float)
-    if meas.angular:
-        ref = meas.fn(mr)
-        g = ref + sensing.wrap_angle(g - ref)
-    yhat = w @ g[..., None]
-    dy = g - yhat
-    Pyy = w @ (dy * dy)[..., None]
-    Pxy = (w * dy)[:, None, :] @ (X - mr)
-    outs = []
-    per_side = zip(sides, y, yhat.tolist(), Pyy.tolist(), Pxy)
-    for side, y_k, (yhat_k,), (Pyy_k,), (Pxy_k,) in per_side:
-        Pyy_k += R
-        if Pyy_k <= 0 or not math.isfinite(Pyy_k):
-            raise FilterNumericsError(f"innovation covariance {Pyy_k} is not positive")
-        innov = sensing.wrap_angle(y_k - yhat_k) if meas.angular else y_k - yhat_k
-        K = Pxy_k / Pyy_k
-        cov = symmetrize(side.cov - Pyy_k * (K[:, None] * K))
-        outs.append(UpdateOutcome(
-            posterior=GaussianBelief(mean=side.mean + K * innov, cov=cov),
-            pred_meas=yhat_k,
-            innov_cov=Pyy_k,
-            log_likelihood=normal_log_pdf(innov, Pyy_k),
-        ))
-    return outs
 
 
 _SQRT1_2 = math.sqrt(0.5)

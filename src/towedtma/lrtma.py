@@ -268,17 +268,17 @@ def _stacked_sides(
     filter_kind: str,
     noise_std: float,
 ) -> list[UpdateOutcome]:
-    """:func:`side_step` on both sides of a resolved bank, through one stacked
-    predict and one stacked update.
+    """:func:`side_step` on both sides of a resolved bank, through one
+    predict of both sides and then one update per side.
 
     Each side keeps its own observer input, point sets and bearing, so each
     outcome has the bits of its side's :func:`side_step`.
     """
-    b1, b2 = bank.belief1, bank.belief2
-    u = np.array([kinematics.observer_input(obs_prev, obs_now, model, b1.mean),
-                  kinematics.observer_input(obs_prev, obs_now, model, b2.mean)])
-    prior = gaussfilt.predict(GaussianBelief.stack((b1, b2)), model, u, filter_kind)
-    outs = gaussfilt.update(prior, (meas.y1, meas.y2), noise_std, filter_kind)
+    sides = bank.belief1, bank.belief2
+    u = [kinematics.observer_input(obs_prev, obs_now, model, b.mean) for b in sides]
+    priors = gaussfilt.predict(sides, model, u, filter_kind)
+    outs = [gaussfilt.update(prior, y, noise_std, filter_kind)
+            for prior, y in zip(priors, (meas.y1, meas.y2))]
     for out in outs:
         if not all(map(math.isfinite, out.posterior.mean.tolist())):
             raise gaussfilt.FilterNumericsError("non-finite estimate")
@@ -299,9 +299,9 @@ def step(
     A settled bank (infinite log-odds) steps only its live side, on that
     slot's bearing, and keeps its log-odds; a side of weight 0 cannot move
     the fused output. Both slots then hold the live side's posterior.
-    A resolved bank for which :func:`gaussfilt.stacks` holds steps its
-    sides stacked (:func:`_stacked_sides`). A failure there is redone side
-    by side, so the step raises what the side-by-side step raises first:
+    A resolved bank for which :func:`gaussfilt.stacks` holds predicts both
+    sides in one call (:func:`_stacked_sides`). A failure there is redone
+    side by side, so the step raises what the side-by-side step raises first:
     side 1's predict, then its update, then side 2's. Numerical failures
     propagate as exceptions; the Monte Carlo harness flags the run as
     diverged rather than aborting.

@@ -14,10 +14,10 @@ its truth on floats. Each ``old_*`` function below is the earlier
 expression, verbatim; the tests require the same bits from both, signs
 of zeros and NaN payloads included, or the same exception class and
 message, and for the synthesis the same state of every generator. A
-resolved point-filter bank steps both sides through one stacked predict
-and update; the ``parent_*`` functions are the side-by-side step it
-replaced, verbatim but for the moments and ``symmetrize``, written out as
-they were.
+resolved point-filter bank in the CT case predicts both sides in one
+``predict`` call and updates them one side at a time; the ``parent_*``
+functions are the side-by-side step it replaced, verbatim but for the
+moments and ``symmetrize``, written out as they were.
 Two exceptions: where two NaNs meet in one operation of
 ``cv_transition``, IEEE 754 leaves the result's payload to the
 implementation, and Python's float ops and numpy's loops pick
@@ -1008,7 +1008,11 @@ def check_stacked_step(kind, model, b1, b2, log_odds, pair, obs_prev, obs_now, n
     return got
 
 
-STACKING = [UKF, CKF, GHF]
+# the kinds whose bank steps take the shared prediction in the CT case; the
+# SRF moves points (cubature) in the CT case only
+STACKING = [UKF, CKF, GHF, gaussfilt.SRF]
+POINT_MODELS = {kind: [CV, CT] for kind in STACKING} | {gaussfilt.SRF: [CT]}
+KIND_MODELS = [(kind, m) for kind in STACKING for m in POINT_MODELS[kind]]
 MODELS = {CV: kinematics.MotionModel(CV, 1.0, 1.944e-6),
           CT: kinematics.MotionModel(CT, 1.0, 1.944e-6, 3.78e-7)}
 STEADY = kinematics.ObserverState(0.0, 0.0, 0.1, 0.05, 0.3)
@@ -1017,7 +1021,8 @@ STEADY_NEXT = kinematics.ObserverState(0.1, 0.05, 0.1, 0.05, 0.3)
 
 @st.composite
 def bank_cases(draw):
-    model_kind = draw(st.sampled_from([CV, CT]))
+    kind = draw(st.sampled_from(STACKING))
+    model_kind = draw(st.sampled_from(POINT_MODELS[kind]))
     model = kinematics.MotionModel(
         model_kind, draw(st.sampled_from([0.5, 1.0, 2.0])),
         draw(st.sampled_from([0.0, 1.944e-6, 1e-3])), draw(st.sampled_from([0.0, 3.78e-7])))
@@ -1029,22 +1034,22 @@ def bank_cases(draw):
                                     *draw(st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2)),
                                     draw(bearings)) for _ in range(2)]
     pair = BearingPair(draw(bearings), draw(bearings), draw(bearings), 4)
-    return (draw(st.sampled_from(STACKING)), model, b1, b2,
+    return (kind, model, b1, b2,
             draw(st.floats(-50.0, 50.0)), pair, obs[0], obs[1], draw(noise_stds))
 
 
 class TestStackedBankStep:
-    """A resolved UKF/CKF/GHF bank step against two calls of the parent's
+    """A resolved UKF/CKF/GHF/SRF bank step against two calls of the parent's
     per-side step, kept verbatim above. ``lrtma.step`` stacks CT banks only;
-    the stacked step itself (``_stacked_sides``) is checked in CV too."""
+    the stacked step itself (``_stacked_sides``) is checked for the point
+    filters in CV too."""
 
     @given(case=bank_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_side_by_side_step(self, case):
         check_stacked_step(*case)
 
-    @pytest.mark.parametrize("kind", STACKING)
-    @pytest.mark.parametrize("model_kind", [CV, CT])
+    @pytest.mark.parametrize("kind, model_kind", KIND_MODELS)
     def test_seeded_runs(self, kind, model_kind):
         # every step of two resolved runs of the benchmark scenario
         cfg = simkit.ScenarioConfig(filter_kind=kind, model_kind=model_kind)
@@ -1079,7 +1084,8 @@ class TestStackedBankStep:
         got = check_stacked_step(kind, model, *b, 0.2, pair, STEADY, STEADY_NEXT, 0.02)
         assert not isinstance(got, str)
 
-    @pytest.mark.parametrize("kind", STACKING)
+    # the SRF's update takes no point set
+    @pytest.mark.parametrize("kind", [UKF, CKF, GHF])
     @pytest.mark.parametrize("model_kind", [CV, CT])
     @pytest.mark.parametrize("wrapped_side", [0, 1])
     def test_one_side_residual_past_pi(self, kind, model_kind, wrapped_side):
@@ -1110,6 +1116,8 @@ class TestStackedBankStep:
         (math.nan, 0.02, "FilterNumericsError: non-finite estimate"),
     ])
     def test_failure_order(self, kind, y1, noise_std, side1_failure):
+        if kind == gaussfilt.SRF and math.isinf(noise_std):
+            side1_failure = "FilterNumericsError: SRF planar covariance is not positive definite"
         # side 2 fails in its predict, side 1 in its update; the stacked
         # step meets side 2's failure first, the side-by-side step side 1's
         model = MODELS[CT]

@@ -39,21 +39,17 @@ def same_bits(a, b):
 
 
 class TestGaussianBelief:
-    def test_dim_is_the_last_axis(self):
-        b = GaussianBelief(np.zeros(5), np.eye(5))
-        s = GaussianBelief(np.zeros((2, 5)), np.tile(np.eye(5), (2, 1, 1)))
-        assert b.dim == s.dim == 5
-        assert s.mean.shape == (2, 5) and s.cov.shape == (2, 5, 5)
-
     def test_lists_become_float_arrays(self):
-        b = GaussianBelief([[1, 2], [3, 4]], [[[1, 0], [0, 1]]] * 2)
+        b = GaussianBelief([1, 2], [[1, 0], [0, 1]])
         assert b.mean.dtype == b.cov.dtype == np.float64
+        assert b.dim == 2
 
     @pytest.mark.parametrize("mean_shape, cov_shape", [
         ((4,), (5, 5)),
         ((4,), (4, 5)),
         ((4,), (2, 4, 4)),
         ((2, 4), (4, 4)),
+        ((2, 4), (2, 4, 4)),
         ((2, 4), (3, 4, 4)),
         ((2, 4), (2, 4, 5)),
         ((2, 4), (2, 4)),
@@ -66,76 +62,54 @@ class TestGaussianBelief:
         assert f"mean shape {mean_shape}" in str(err.value)
         assert f"covariance shape {cov_shape}" in str(err.value)
 
-    def test_stack_keeps_its_beliefs_as_sides(self):
-        rng = np.random.default_rng(1)
-        b1, b2 = random_belief(rng, 5), random_belief(rng, 5)
-        s = GaussianBelief.stack((b1, b2))
-        assert s.sides[0] is b1 and s.sides[1] is b2
-        assert same_bits(s.mean, [b1.mean, b2.mean]) and same_bits(s.cov, [b1.cov, b2.cov])
-        with pytest.raises(ValueError):
-            GaussianBelief.stack((b1, random_belief(rng, 4)))
 
-    def test_sides_view_the_rows(self):
-        rng = np.random.default_rng(2)
-        s = GaussianBelief(rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 4)))
-        assert len(s.sides) == 3
-        for k, side in enumerate(s.sides):
-            assert type(side) is GaussianBelief and side.dim == 4
-            assert np.shares_memory(side.mean, s.mean) and np.shares_memory(side.cov, s.cov)
-            assert same_bits(side.mean, s.mean[k]) and same_bits(side.cov, s.cov[k])
-        with pytest.raises(ValueError):
-            random_belief(rng, 4).sides
+CV_MODEL = MotionModel(CV, 1.0, 1e-6)
+CT_MODEL = MotionModel(CT, 1.0, 1e-6, 1e-7)
+
+
+def bank_sides(rng, n, count=3):
+    """``count`` beliefs a few km from the array, with small covariances."""
+    offset = np.array([4.0, 3.0] + [0.0] * (n - 2))
+    return tuple(GaussianBelief(rng.normal(size=n) + offset, 0.01 * random_belief(rng, n).cov)
+                 for _ in range(count))
 
 
 class TestStackedSteps:
-    """A stacked belief through predict and update gives each side's own call."""
+    """The sides of a bank through one predict give each side's own call."""
 
-    @pytest.mark.parametrize("kind", [UKF, CKF, GHF])
-    @pytest.mark.parametrize("model", [MotionModel(CV, 1.0, 1e-6),
-                                       MotionModel(CT, 1.0, 1e-6, 1e-7)], ids=["cv", "ct"])
-    @pytest.mark.parametrize("meas", [gaussfilt.BEARING, None], ids=["bearing", "linear"])
-    def test_each_side_as_its_own_call(self, kind, model, meas):
-        meas = meas or linear_measurement()
+    @pytest.mark.parametrize("kind, model", [
+        *((k, m) for k in (UKF, CKF, GHF) for m in (CV_MODEL, CT_MODEL)),
+        (SRF, CT_MODEL),
+    ], ids=lambda v: v if isinstance(v, str) else v.kind)
+    def test_each_side_as_its_own_call(self, kind, model):
         rng = np.random.default_rng(3)
         n = model.dim
-        offset = np.array([4.0, 3.0] + [0.0] * (n - 2))
-        sides = [GaussianBelief(rng.normal(size=n) + offset, 0.01 * random_belief(rng, n).cov)
-                 for _ in range(3)]
-        u = 0.01 * rng.normal(size=(3, n))
-        y = rng.uniform(-np.pi, np.pi, size=3).tolist()
-        prior = predict(GaussianBelief.stack(sides), model, u, kind)
-        outs = update(prior, y, 0.02, kind, meas)
-        assert len(outs) == 3
-        for k, side in enumerate(sides):
-            want_prior = predict(side, model, u[k], kind)
-            assert same_bits(prior.mean[k], want_prior.mean)
-            assert same_bits(prior.cov[k], want_prior.cov)
-            want = update(want_prior, y[k], 0.02, kind, meas)
-            assert same_bits(outs[k].posterior.mean, want.posterior.mean)
-            assert same_bits(outs[k].posterior.cov, want.posterior.cov)
-            assert same_bits([outs[k].pred_meas, outs[k].innov_cov, outs[k].log_likelihood],
-                             [want.pred_meas, want.innov_cov, want.log_likelihood])
+        sides = bank_sides(rng, n)
+        u = list(0.01 * rng.normal(size=(3, n)))
+        priors = predict(sides, model, u, kind)
+        assert type(priors) is tuple and len(priors) == 3
+        for side, u_k, prior in zip(sides, u, priors):
+            want = predict(side, model, u_k, kind)
+            assert type(prior) is GaussianBelief
+            assert same_bits(prior.mean, want.mean)
+            assert same_bits(prior.cov, want.cov)
 
-    @pytest.mark.parametrize("kind", [EKF, SRF])
-    def test_other_kinds_take_one_side(self, kind):
-        rng = np.random.default_rng(4)
-        s = GaussianBelief.stack((random_belief(rng, 5), random_belief(rng, 5)))
-        model = MotionModel(CT, 1.0, 1e-6, 1e-7)
-        with pytest.raises(ValueError, match="stacked"):
-            predict(s, model, np.zeros((2, 5)), kind)
-        with pytest.raises(ValueError, match="stacked"):
-            update(s, [0.1, 0.2], 0.02, kind)
+    @pytest.mark.parametrize("kind, model", [(EKF, CV_MODEL), (EKF, CT_MODEL), (SRF, CV_MODEL)],
+                             ids=["ekf-cv", "ekf-ct", "srf-cv"])
+    def test_kinds_that_move_no_points_take_one_side(self, kind, model):
+        sides = bank_sides(np.random.default_rng(4), model.dim, 2)
+        with pytest.raises(ValueError, match=f"filter kind '{kind}' moves no point set"):
+            predict(sides, model, [np.zeros(model.dim)] * 2, kind)
 
-    def test_only_point_filters_under_ct_stack(self):
-        cv, ct = MotionModel(CV, 1.0, 1e-6), MotionModel(CT, 1.0, 1e-6, 1e-7)
-        assert [k for k in gaussfilt.FILTER_KINDS if gaussfilt.stacks(k, ct)] == [UKF, CKF, GHF]
-        assert not any(gaussfilt.stacks(k, cv) for k in gaussfilt.FILTER_KINDS)
+    def test_one_input_per_side(self):
+        sides = bank_sides(np.random.default_rng(5), 5)
+        with pytest.raises(ValueError, match="2 observer inputs for 3 sides"):
+            predict(sides, CT_MODEL, [np.zeros(5)] * 2, CKF)
 
-    def test_one_measurement_per_side(self):
-        rng = np.random.default_rng(5)
-        s = GaussianBelief.stack((random_belief(rng, 4), random_belief(rng, 4)))
-        with pytest.raises(ValueError, match="1 measurements for 2 sides"):
-            update(s, [0.1], 0.02, CKF)
+    def test_only_point_set_predictions_under_ct_stack(self):
+        assert [k for k in gaussfilt.FILTER_KINDS if gaussfilt.stacks(k, CT_MODEL)] == [
+            UKF, CKF, GHF, SRF]
+        assert not any(gaussfilt.stacks(k, CV_MODEL) for k in gaussfilt.FILTER_KINDS)
 
 
 class TestPointSets:

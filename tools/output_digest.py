@@ -32,8 +32,10 @@ The parts:
   rates: signed zeros, subnormals, both sides of ``PSI_EPS`` and its
   neighbouring floats, a rate whose libm square is one ulp off
   ``psi * psi``, large and non-finite values, at three intervals.
-* ``filters``: 100 random beliefs at n = 4 and n = 5 through ``update``
-  for every filter kind but the SRF, ``srf_update``, ``symmetrize`` and
+* ``filters``: 100 random beliefs at n = 4 and n = 5 through ``predict``
+  for every filter kind (CV at n = 4, CT at n = 5, each with a random
+  observer input) and ``update`` for every filter kind but the SRF,
+  ``srf_update``, ``symmetrize`` and
   ``lrtma.fuse`` (weights 0, 1, 1/2 and random), with ``cv_transition`` on
   single states and one batch, and ``wrap_angle`` on an array of edge
   angles: odd multiples of pi and their neighbouring floats, signed zeros,
@@ -45,6 +47,9 @@ The parts:
   kind) and ``srf_update`` at edge bearings: +/-0, +/-pi and their
   neighbouring floats, the smallest subnormal, +/-1e300, +/-inf and NaN;
   where a call raises, the name of the exception's class is hashed.
+  Twenty more CT beliefs, built so that every kind's point set holds turn
+  rates on both sides of ``PSI_EPS``, go through ``predict`` for every
+  kind.
 * ``truth``: ``simkit.gen_target_track`` for CV and CT at T = 0.5 and 1,
   with the default and with zero process noise, each followed by the
   generator's next draw (zero noise must draw nothing); and
@@ -109,6 +114,9 @@ from towedtma import cli, gaussfilt, kinematics, lrtma, sensing, simkit  # noqa:
 RUNS, SEED = 15, 3
 POINT_KINDS = (gaussfilt.UKF, gaussfilt.CKF, gaussfilt.GHF, gaussfilt.SRF)
 MOMENT_KINDS = (gaussfilt.EKF, gaussfilt.UKF, gaussfilt.CKF, gaussfilt.GHF)
+# the benchmark scenario's process noise, by state dimension
+PREDICT_MODELS = {4: kinematics.MotionModel(kinematics.CV, 1.0, 1.944e-6),
+                  5: kinematics.MotionModel(kinematics.CT, 1.0, 1.944e-6, 3.78e-7)}
 
 
 def _feed(h, *arrays) -> None:
@@ -172,6 +180,7 @@ def filters_digest(h) -> None:
             A = rng.normal(size=(n, n))
             b = gaussfilt.GaussianBelief(10.0 * rng.normal(size=n), A @ A.T + 0.1 * np.eye(n))
             y, sigma = rng.uniform(-np.pi, np.pi), rng.uniform(1e-3, 0.1)
+            _feed_predicts(h, b, PREDICT_MODELS[n], 0.1 * rng.normal(size=n))
             outs = [gaussfilt.update(b, y, sigma, kind) for kind in MOMENT_KINDS]
             outs.append(gaussfilt.srf_update(b, y, sigma))
             for out in outs:
@@ -184,6 +193,7 @@ def filters_digest(h) -> None:
                 _feed(h, fused.mean, fused.cov)
             prev = b
     _edge_bearing_updates(h, rng)
+    _near_zero_turn_predicts(h, rng)
     states = rng.normal(size=(100, 4))
     for T in (0.5, 1.0, 2.0):
         _feed(h, kinematics.cv_transition(states, T))
@@ -203,6 +213,27 @@ def filters_digest(h) -> None:
                           for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
     for u in args:
         _feed(h, gaussfilt.shifted_rayleigh_moments(float(u)))
+
+
+def _feed_predicts(h, b, model, u) -> None:
+    for kind in gaussfilt.FILTER_KINDS:
+        prior = gaussfilt.predict(b, model, u, kind)
+        _feed(h, prior.mean, prior.cov)
+
+
+def _near_zero_turn_predicts(h, rng) -> None:
+    # a turn rate within PSI_EPS / 2 of zero: the rate row of the factor has
+    # no first entry and a last one of 3 PSI_EPS, so every point set holds
+    # rates below PSI_EPS (its centre, or the points along the first column)
+    # and above it (along the last)
+    eps = kinematics.PSI_EPS
+    for _ in range(20):
+        L = np.tril(rng.normal(size=(5, 5)))
+        L[range(4), range(4)] = np.abs(L.diagonal()[:4]) + 0.1
+        L[4] = [0.0, *(eps * L[4, 1:4]), 3.0 * eps]
+        mean = np.append(10.0 * rng.normal(size=4), 0.5 * eps * rng.uniform(-1.0, 1.0))
+        b = gaussfilt.GaussianBelief(mean, L @ L.T)
+        _feed_predicts(h, b, PREDICT_MODELS[5], 0.1 * rng.normal(size=5))
 
 
 def _edge_bearings() -> list:
